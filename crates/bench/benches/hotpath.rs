@@ -1,15 +1,15 @@
-//! Throughput of the line-coalescing fast path against the full walk.
+//! Throughput of the ranged access engine against the per-row scalar walk.
 //!
 //! A self-contained harness (`cargo bench -p pim-bench --bench hotpath`)
 //! timed with `std::time::Instant` — see `kernels.rs` for the rationale.
-//! Each pattern is run once with coalescing (the default) and once with
-//! `set_fast_path(false)`, so the printout shows exactly what the memo
-//! buys on repeat-heavy streams and what it costs on adversarial ones.
+//! The same strided plane walk is issued once as ranged descriptors and
+//! once as the per-row `SimContext::access` loop a descriptor is defined
+//! as, so the printout shows what the streak commit buys on each port.
+//! Bit-identity of the two is enforced by `tests/hotpath_differential.rs`.
 
 use std::hint::black_box;
 use std::time::Instant;
 
-use pim_core::rng::SplitMix64;
 use pim_core::{AccessKind, EngineTiming, Platform, Port, SimContext};
 
 /// Time `f` over `iters` iterations (plus a 10% warm-up) and print the
@@ -26,87 +26,49 @@ fn bench<T>(name: &str, iters: u32, mut f: impl FnMut() -> T) {
     println!("{name:<40} {:>10.1} us/iter", per_s * 1e6);
 }
 
-fn ctx(port: Port, fast: bool) -> SimContext {
+fn ctx(port: Port) -> SimContext {
     let (platform, timing) = match port {
         Port::Cpu => (Platform::baseline(), EngineTiming::soc_cpu()),
         Port::PimCore => (Platform::pim(), EngineTiming::pim_core()),
         Port::PimAccel => (Platform::pim(), EngineTiming::pim_accel()),
     };
-    let mut ctx = SimContext::new(platform, timing, port);
-    ctx.set_fast_path(fast);
-    ctx
+    SimContext::new(platform, timing, port)
 }
 
-/// Sequential small accesses: every line is touched 8 times in a row,
-/// the exact pattern per-element kernel loops produce.
-fn repeat_stream(ctx: &mut SimContext) {
-    let buf = ctx.alloc(1 << 20);
-    for i in 0..(1u64 << 14) {
-        ctx.access(buf.addr(i * 8), 8, AccessKind::Read);
-    }
-}
-
-/// Random single-line accesses across a 4 MB working set: the memo
-/// almost never matches, so this bounds its overhead.
-fn random_stream(ctx: &mut SimContext) {
-    let buf = ctx.alloc(4 << 20);
-    let mut rng = SplitMix64::new(1);
-    for _ in 0..(1 << 14) {
-        let line = rng.next_below((4 << 20) / 64);
-        ctx.access(buf.addr(line * 64), 8, AccessKind::Read);
-    }
-}
-
-/// Strided plane walk issued as ranged descriptors: each `read_rows`
-/// call covers a 512 B x 1024-row rectangle of a 1 KB-pitch,
-/// LLC-resident plane in a single descriptor — the hot-rect shape the
-/// VP9 kernels hand the engine, where row streaks hit and commit in
-/// batch. With the fast path off the same calls decompose into the
-/// per-row scalar walk, so fast vs slow is ranged vs scalar.
-fn ranged_stream(ctx: &mut SimContext) {
+/// Strided plane walk: 16 rectangles of 512 B x 1024 rows over a
+/// 1 KB-pitch, LLC-resident plane — the hot-rect shape the VP9 kernels
+/// hand the engine, where row streaks hit and commit in batch. With
+/// `ranged` false each descriptor's rows are issued as `access` calls.
+fn plane_walk(ctx: &mut SimContext, ranged: bool) {
+    const ROW: u64 = 512;
+    const PITCH: u64 = 1024;
+    const ROWS: u64 = 1024;
     let buf = ctx.alloc(1 << 20);
     for rect in 0..16u64 {
-        ctx.read_rows(buf.addr((rect * 31) % 512), 512, 1024, 1024);
+        let addr = buf.addr((rect * 31) % 512);
+        if ranged {
+            ctx.read_rows(addr, ROW, PITCH, ROWS);
+        } else {
+            for i in 0..ROWS {
+                ctx.access(addr + i * PITCH, ROW, AccessKind::Read);
+            }
+        }
     }
 }
 
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
-    let iters = |n: u32| if smoke { 2 } else { n };
+    let iters = if smoke { 2 } else { 50 };
     for port in [Port::Cpu, Port::PimCore, Port::PimAccel] {
         println!("[{port:?}]");
-        bench("repeat_16k_fast", iters(50), || {
-            let mut c = ctx(port, true);
-            repeat_stream(&mut c);
-            c.now_ps()
-        });
-        bench("repeat_16k_slow", iters(50), || {
-            let mut c = ctx(port, false);
-            repeat_stream(&mut c);
-            c.now_ps()
-        });
-        bench("random_16k_fast", iters(50), || {
-            let mut c = ctx(port, true);
-            random_stream(&mut c);
-            c.now_ps()
-        });
-        bench("random_16k_slow", iters(50), || {
-            let mut c = ctx(port, false);
-            random_stream(&mut c);
-            c.now_ps()
-        });
-        // ranged_vs_scalar: the same 64k-row strided walk as one
-        // descriptor per column (fast) and decomposed into the per-row
-        // scalar loop (slow) — the headline ratio of this PR.
-        bench("ranged_vs_scalar/ranged_64k", iters(50), || {
-            let mut c = ctx(port, true);
-            ranged_stream(&mut c);
-            c.now_ps()
-        });
-        bench("ranged_vs_scalar/scalar_64k", iters(50), || {
-            let mut c = ctx(port, false);
-            ranged_stream(&mut c);
-            c.now_ps()
-        });
+        for (name, ranged) in
+            [("ranged_vs_scalar/ranged_64k", true), ("ranged_vs_scalar/scalar_64k", false)]
+        {
+            bench(name, iters, || {
+                let mut c = ctx(port);
+                plane_walk(&mut c, ranged);
+                c.now_ps()
+            });
+        }
     }
 }

@@ -48,10 +48,11 @@ impl Buffer {
 
 /// A vector of real data bound to a simulated address range.
 ///
-/// Every [`Tracked::get`]/[`Tracked::set`] performs the actual data access
-/// *and* reports it to the [`SimContext`], so kernels stay honest: the
-/// simulated traffic is exactly the traffic the computation needed.
-/// Row/streaming helpers report one ranged access instead of per-element
+/// Every tracked borrow ([`Tracked::read_range`], [`Tracked::write_range`],
+/// [`Tracked::fill_range`], …) performs the actual data access *and*
+/// reports it to the [`SimContext`], so kernels stay honest: the simulated
+/// traffic is exactly the traffic the computation needed. The helpers
+/// report whole ranges and row descriptors rather than per-element
 /// traffic, which is how the hardware (and the paper's analysis) sees a
 /// streaming kernel.
 ///
@@ -59,8 +60,8 @@ impl Buffer {
 /// use pim_core::{Platform, SimContext, Tracked};
 /// let mut ctx = SimContext::cpu_only(Platform::baseline());
 /// let mut v: Tracked<u32> = Tracked::zeroed(&mut ctx, 1024);
-/// v.set(&mut ctx, 7, 42);
-/// assert_eq!(v.get(&mut ctx, 7), 42);
+/// v.fill_range(&mut ctx, 0, 16, 42);
+/// assert_eq!(v.read_range(&mut ctx, 7, 2), &[42, 42]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct Tracked<T> {
@@ -100,18 +101,6 @@ impl<T: Copy> Tracked<T> {
     /// The simulated placement of this vector.
     pub fn buffer(&self) -> Buffer {
         self.buf
-    }
-
-    /// Load element `i`, reporting the access.
-    pub fn get(&self, ctx: &mut SimContext, i: usize) -> T {
-        ctx.read(self.buf.addr(i as u64 * Self::elem_bytes()), Self::elem_bytes());
-        self.data[i]
-    }
-
-    /// Store element `i`, reporting the access.
-    pub fn set(&mut self, ctx: &mut SimContext, i: usize, v: T) {
-        ctx.write(self.buf.addr(i as u64 * Self::elem_bytes()), Self::elem_bytes());
-        self.data[i] = v;
     }
 
     /// Borrow `n` elements starting at `i` as a slice, reporting one ranged
@@ -243,15 +232,6 @@ mod tests {
         assert_eq!(b.addr(0), 0x1000);
         assert_eq!(b.addr(63), 0x103f);
         assert!(std::panic::catch_unwind(|| b.addr(64)).is_err());
-    }
-
-    #[test]
-    fn tracked_get_set_roundtrip() {
-        let mut ctx = SimContext::cpu_only(Platform::baseline());
-        let mut t: Tracked<u16> = Tracked::zeroed(&mut ctx, 100);
-        t.set(&mut ctx, 3, 7);
-        assert_eq!(t.get(&mut ctx, 3), 7);
-        assert_eq!(t.as_slice()[3], 7);
     }
 
     #[test]

@@ -475,9 +475,9 @@ impl SimContext {
     /// rows whose lines all hit the first private cache level are committed
     /// in batches: one set-lookup per distinct line and one template-priced
     /// accounting pass per streak, instead of the full per-access walk.
-    /// With a fault plan or tracer attached (or the fast path disabled) the
-    /// engine falls back to the scalar loop, which draws per-access faults
-    /// and emits per-access trace events in the reference order.
+    /// With a fault plan or tracer attached the engine falls back to the
+    /// scalar loop, which draws per-access faults and emits per-access
+    /// trace events in the reference order.
     pub fn access_range(
         &mut self,
         addr: u64,
@@ -625,10 +625,10 @@ impl SimContext {
                 self.commit_outcome(&out, stall);
                 done += 1;
             } else if full == 0 {
-                // Zero progress: the memory system's fast path is gated
-                // off (coalescing disabled, tracer hooks, unsupported
-                // port). Hand the rest to the scalar loop for the
-                // reference behavior, including any port error.
+                // Zero progress: the memory system's ranged path is gated
+                // off (tracer hooks, unsupported port). Hand the rest to
+                // the scalar loop for the reference behavior, including
+                // any port error.
                 return done;
             }
             // `full > 0 && partial_hits == None`: the streak ended at a
@@ -812,13 +812,6 @@ impl SimContext {
     /// Direct access to the memory system (stats, cache contents).
     pub fn memory(&self) -> &MemorySystem {
         &self.mem
-    }
-
-    /// Enable or disable the memory system's line-coalescing fast path.
-    /// On by default; the differential tests disable it to compare the
-    /// fast path against the reference per-line walk bit for bit.
-    pub fn set_fast_path(&mut self, on: bool) {
-        self.mem.set_fast_path(on);
     }
 
     /// Poison the context with an error discovered by the kernel itself

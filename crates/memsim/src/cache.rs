@@ -113,15 +113,6 @@ pub struct Cache {
     set_shift: u32,
     tick: u64,
     stats: CacheStats,
-    /// Memoized `(line, absolute way index)` of the most recent access.
-    /// Invariant: when `Some`, that way still holds exactly that line —
-    /// every access rewrites the memo and every flush clears it, so the
-    /// memo can never point at an evicted or stale way.
-    last_hit: Option<(u64, u32)>,
-    /// When false, the repeat-hit memo is ignored and every access walks
-    /// the set. Used by the differential harness to prove the fast path
-    /// is bit-identical to the walk.
-    fast: bool,
 }
 
 impl Cache {
@@ -149,142 +140,42 @@ impl Cache {
             set_shift: (sets as u64 - 1).count_ones(),
             tick: 0,
             stats: CacheStats::default(),
-            last_hit: None,
-            fast: true,
-        }
-    }
-
-    /// Enable or disable the repeat-hit fast path. Disabling also drops
-    /// the memo so a later re-enable starts cold.
-    pub fn set_fast_path(&mut self, on: bool) {
-        self.fast = on;
-        if !on {
-            self.last_hit = None;
-        }
-    }
-
-    /// Apply the exact hit-path state transitions to a known-resident way:
-    /// one tick, one access, one hit, MRU promotion, dirty on write.
-    fn record_repeat_hit(&mut self, idx: usize, kind: AccessKind) {
-        self.tick += 1;
-        self.stats.accesses += 1;
-        self.stats.hits += 1;
-        let w = &mut self.sets[idx];
-        w.lru = self.tick;
-        if kind.is_write() {
-            w.dirty = true;
-        }
-    }
-
-    /// Line-coalescing entry point for [`crate::MemorySystem`]: if `addr`
-    /// falls in the same line as the previous access, replay the hit
-    /// without the set walk and return `true`. The caller must only use
-    /// this when it can also reproduce the hit's latency/energy
-    /// accounting (it knows the previous access hit this cache).
-    pub(crate) fn coalesced_hit(&mut self, addr: u64, kind: AccessKind) -> bool {
-        if !self.fast {
-            return false;
-        }
-        match self.last_hit {
-            Some((line, way)) if line == addr / LINE_BYTES => {
-                self.record_repeat_hit(way as usize, kind);
-                true
-            }
-            _ => false,
         }
     }
 
     /// Commit hit transitions for up to `n` consecutive lines starting at
     /// `first_line`, stopping at (and not mutating on) the first miss.
     /// Returns how many lines hit. Bit-identical to calling
-    /// [`Self::try_hit_line`] in a loop: ticks advance one per hit, each
-    /// way's `lru` gets its own tick value, and the memo ends on the last
-    /// hit line — the counters are simply added in one batch at the end.
+    /// [`Self::access`] on each line while it is resident: ticks advance
+    /// one per hit and each way's `lru` gets its own tick value — the
+    /// counters are simply added in one batch at the end.
     pub(crate) fn try_hit_run(&mut self, first_line: u64, n: u64, kind: AccessKind) -> u64 {
         let write = kind.is_write();
         let mut tick = self.tick;
-        let mut last_hit = self.last_hit;
         let mut committed = 0u64;
         while committed < n {
             let line = first_line + committed;
-            let idx = match last_hit {
-                // The memo can only match on the first line of a run
-                // (lines strictly increase), exactly as in the scalar
-                // walk, where each hit rewrites the memo to its own line.
-                Some((l, way)) if self.fast && l == line => way as usize,
-                _ => {
-                    let set = (line & self.set_mask) as usize;
-                    let tag = line >> self.set_shift;
-                    let base = set * self.ways;
-                    match self.sets[base..base + self.ways]
-                        .iter()
-                        .position(|w| w.valid && w.tag == tag)
-                    {
-                        Some(i) => base + i,
-                        None => break,
-                    }
-                }
+            let set = (line & self.set_mask) as usize;
+            let tag = line >> self.set_shift;
+            let base = set * self.ways;
+            let Some(i) = self.sets[base..base + self.ways]
+                .iter()
+                .position(|w| w.valid && w.tag == tag)
+            else {
+                break;
             };
             tick += 1;
-            let w = &mut self.sets[idx];
+            let w = &mut self.sets[base + i];
             w.lru = tick;
             if write {
                 w.dirty = true;
             }
-            last_hit = Some((line, idx as u32));
             committed += 1;
         }
-        if committed > 0 {
-            self.tick = tick;
-            self.stats.accesses += committed;
-            self.stats.hits += committed;
-            self.last_hit = last_hit;
-        }
+        self.tick = tick;
+        self.stats.accesses += committed;
+        self.stats.hits += committed;
         committed
-    }
-
-    /// Commit-if-hit for a single line: if the line is resident, apply
-    /// the exact hit-path state transitions ([`Self::access`]'s hit arm:
-    /// tick, access, hit, MRU, dirty-on-write, memo) and return `true`.
-    /// On a miss *nothing* is mutated and `false` is returned, so the
-    /// caller can replay the miss through [`Self::access`] with
-    /// bit-identical results.
-    ///
-    /// Kept as the single-line reference implementation the
-    /// `try_hit_run` differential test replays; production code takes
-    /// the batched path.
-    #[cfg_attr(not(test), allow(dead_code))]
-    #[inline]
-    pub(crate) fn try_hit_line(&mut self, line: u64, kind: AccessKind) -> bool {
-        if self.fast {
-            if let Some((l, way)) = self.last_hit {
-                if l == line {
-                    self.record_repeat_hit(way as usize, kind);
-                    return true;
-                }
-            }
-        }
-        let set = (line & self.set_mask) as usize;
-        let tag = line >> self.set_shift;
-        let base = set * self.ways;
-        let hit = self.sets[base..base + self.ways]
-            .iter()
-            .position(|w| w.valid && w.tag == tag);
-        match hit {
-            Some(i) => {
-                self.tick += 1;
-                self.stats.accesses += 1;
-                self.stats.hits += 1;
-                let w = &mut self.sets[base + i];
-                w.lru = self.tick;
-                if kind.is_write() {
-                    w.dirty = true;
-                }
-                self.last_hit = Some((line, (base + i) as u32));
-                true
-            }
-            None => false,
-        }
     }
 
     /// The geometry this cache was built with.
@@ -309,14 +200,6 @@ impl Cache {
     /// the writeback toward memory.
     pub fn access(&mut self, addr: u64, kind: AccessKind) -> CacheOutcome {
         let line = addr / LINE_BYTES;
-        if self.fast {
-            if let Some((l, way)) = self.last_hit {
-                if l == line {
-                    self.record_repeat_hit(way as usize, kind);
-                    return CacheOutcome { hit: true, writeback: None };
-                }
-            }
-        }
         let set = (line & self.set_mask) as usize;
         let tag = line >> self.set_shift;
         self.tick += 1;
@@ -332,7 +215,6 @@ impl Cache {
                 way.dirty = true;
             }
             self.stats.hits += 1;
-            self.last_hit = Some((line, (base + i) as u32));
             return CacheOutcome { hit: true, writeback: None };
         }
 
@@ -353,7 +235,6 @@ impl Cache {
             None
         };
         *w = Way { tag, valid: true, dirty: kind.is_write(), lru: self.tick };
-        self.last_hit = Some((line, (base + victim) as u32));
         CacheOutcome { hit: false, writeback }
     }
 
@@ -373,7 +254,6 @@ impl Cache {
     /// Used by the coherence model when an offload region begins and the PIM
     /// logic must observe the CPU's writes (dirty lines are flushed).
     pub fn flush_all(&mut self) -> u64 {
-        self.last_hit = None;
         let mut dirty = 0;
         for w in &mut self.sets {
             if w.valid && w.dirty {
@@ -462,39 +342,12 @@ mod tests {
     }
 
     #[test]
-    fn repeat_hit_memo_is_bit_identical_to_full_walk() {
-        // An LCG-driven stream with long same-line runs (the memo's target
-        // pattern) must leave stats, outcomes, residency and LRU order
-        // identical with the memo disabled.
-        let mut fast = tiny();
-        let mut slow = tiny();
-        slow.set_fast_path(false);
-        let mut state = 0x5EEDu64;
-        let mut addr = 0u64;
-        for _ in 0..10_000 {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            if state >> 62 != 0 {
-                addr = (state >> 32) % (64 * LINE_BYTES);
-            }
-            let kind = if state & 1 == 0 { AccessKind::Read } else { AccessKind::Write };
-            let a = fast.access(addr, kind);
-            let b = slow.access(addr, kind);
-            assert_eq!((a.hit, a.writeback), (b.hit, b.writeback));
-        }
-        assert_eq!(fast.stats(), slow.stats());
-        assert_eq!(fast.resident_lines(), slow.resident_lines());
-        // Flushing both must report the same dirty count (same dirty bits
-        // and the same victims were chosen throughout).
-        assert_eq!(fast.flush_all(), slow.flush_all());
-    }
-
-    #[test]
     fn try_hit_run_matches_per_line_loop() {
         // Seed both caches with an identical mix of resident lines, then
         // replay strided runs (some fully resident, some hitting holes)
-        // through the batch and the per-line reference. All state —
-        // stats, ticks (via later LRU decisions), memo, dirty bits —
-        // must stay identical.
+        // through the batch and through the production hit path
+        // (`contains`, then `access`, per line). All state — stats,
+        // ticks, LRU order, dirty bits — must stay identical.
         let build = || {
             let mut c = tiny();
             for i in [0u64, 1, 2, 3, 5, 6, 9] {
@@ -514,28 +367,18 @@ mod tests {
         ] {
             let a = batch.try_hit_run(first, n, kind);
             let mut b = 0;
-            while b < n && scalar.try_hit_line(first + b, kind) {
+            while b < n && scalar.contains((first + b) * LINE_BYTES) {
+                assert!(scalar.access((first + b) * LINE_BYTES, kind).hit);
                 b += 1;
             }
             assert_eq!(a, b, "run ({first},{n})");
             assert_eq!(batch.stats(), scalar.stats());
-            assert_eq!(batch.last_hit, scalar.last_hit);
             assert_eq!(batch.tick, scalar.tick);
+            let lru = |c: &Cache| c.sets.iter().map(|w| w.lru).collect::<Vec<_>>();
+            assert_eq!(lru(&batch), lru(&scalar), "run ({first},{n})");
         }
-        // Dirty bits and LRU order must also agree: flush both and force
-        // identical evictions afterwards.
+        // Dirty bits must also agree: both flushes drop the same lines.
         assert_eq!(batch.flush_all(), scalar.flush_all());
-    }
-
-    #[test]
-    fn memo_is_invalidated_by_flush() {
-        let mut c = tiny();
-        c.access(0, AccessKind::Write);
-        c.access(0, AccessKind::Write); // memoized repeat hit
-        assert_eq!(c.stats().hits, 1);
-        c.flush_all();
-        // After the flush the line is gone: the memo must not resurrect it.
-        assert!(!c.access(0, AccessKind::Read).hit);
     }
 
     #[test]

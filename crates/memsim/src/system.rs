@@ -166,13 +166,6 @@ pub struct MemorySystem {
     scratch: Cache,
     backend: Backend,
     hooks: Option<TraceHooks>,
-    /// Line-coalescing fast path: when the previous access was a
-    /// single-line private-cache hit, `last_line` remembers its
-    /// `(port, line)` so an immediate repeat can replay the hit without
-    /// the per-line walk. `None` whenever the previous access touched
-    /// anything deeper than the private cache.
-    last_line: Option<(Port, u64)>,
-    coalesce: bool,
 }
 
 impl MemorySystem {
@@ -221,22 +214,8 @@ impl MemorySystem {
             scratch: Cache::build(config.scratch),
             backend,
             hooks: None,
-            last_line: None,
-            coalesce: true,
             config,
         }
-    }
-
-    /// Enable or disable the line-coalescing fast path (and each cache's
-    /// repeat-hit memo). On by default; the differential harness turns it
-    /// off to compare against the reference per-line walk.
-    pub fn set_fast_path(&mut self, on: bool) {
-        self.coalesce = on;
-        self.last_line = None;
-        self.cpu_l1.set_fast_path(on);
-        self.llc.set_fast_path(on);
-        self.pim_l1.set_fast_path(on);
-        self.scratch.set_fast_path(on);
     }
 
     /// Register `tracer` as the sink for memory-level events and metrics.
@@ -273,7 +252,7 @@ impl MemorySystem {
         if bytes == 0 {
             return AccessOutcome::default();
         }
-        self.cpu_access(addr, bytes, kind, now)
+        self.cpu_walk(addr, bytes, kind, now, 0)
     }
 
     /// Issue an access of `bytes` at `addr` from the given port at time `now`.
@@ -295,8 +274,8 @@ impl MemorySystem {
             return Ok(AccessOutcome::default());
         }
         match port {
-            Port::Cpu => Ok(self.cpu_access(addr, bytes, kind, now)),
-            Port::PimCore | Port::PimAccel => self.pim_access(port, addr, bytes, kind, now),
+            Port::Cpu => Ok(self.cpu_walk(addr, bytes, kind, now, 0)),
+            Port::PimCore | Port::PimAccel => self.pim_walk(port, addr, bytes, kind, now, 0),
         }
     }
 
@@ -304,7 +283,7 @@ impl MemorySystem {
     /// stride/run-length descriptor `(addr, bytes, stride) x rows` as
     /// possible, touching only the first private cache level.
     ///
-    /// Each committed row is bit-identical (cache state, stats, memos) to
+    /// Each committed row is bit-identical (cache state and stats) to
     /// the scalar walk `access_from(port, addr + i*stride, bytes, kind)`
     /// whose every line hit. The streak stops at the first row with a
     /// missing line (its leading hits are committed; finish it with
@@ -312,10 +291,10 @@ impl MemorySystem {
     /// from the streak's, or after `rows` rows.
     ///
     /// Returns a zero-progress outcome (and mutates nothing) whenever the
-    /// fast path cannot be used: coalescing disabled, a tracer attached,
-    /// a PIM port on a non-stacked backend, or an empty descriptor — the
-    /// caller then falls back to the scalar walk, which also reproduces
-    /// any port error.
+    /// ranged path cannot be used: a tracer attached, a PIM port on a
+    /// non-stacked backend, or an empty descriptor — the caller then
+    /// falls back to the scalar walk, which also reproduces any port
+    /// error.
     pub fn try_rows(
         &mut self,
         port: Port,
@@ -326,7 +305,7 @@ impl MemorySystem {
         kind: AccessKind,
     ) -> RowsOutcome {
         let none = RowsOutcome::default();
-        if bytes == 0 || rows == 0 || !self.coalesce || self.hooks.is_some() {
+        if bytes == 0 || rows == 0 || self.hooks.is_some() {
             return none;
         }
         let cache: &mut Cache = match port {
@@ -358,18 +337,6 @@ impl MemorySystem {
             }
             full += 1;
         }
-        // Arm/disarm the system-level coalescing memo exactly as the
-        // scalar walk would after the last committed row (intermediate
-        // values are unobservable: nothing else touches the system during
-        // a streak). A partial row is finished by `finish_row`, which
-        // re-applies the rule itself.
-        if partial.is_none() && full > 0 {
-            self.last_line = if lines_per_row == 1 {
-                Some((port, (addr + (full - 1) * stride) / LINE_BYTES))
-            } else {
-                None
-            };
-        }
         RowsOutcome { lines_per_row, full_rows: full, partial_hits: partial }
     }
 
@@ -400,45 +367,11 @@ impl MemorySystem {
         }
     }
 
-    fn cpu_access(&mut self, addr: u64, bytes: u64, kind: AccessKind, now: Ps) -> AccessOutcome {
-        let first_line = addr / LINE_BYTES;
-        // Fast path: a single-line repeat of the previous L1 hit. The
-        // cache replays the exact hit transitions (tick, MRU, stats,
-        // dirty) and we replicate the hit's latency/activity/trace
-        // accounting without walking the line range.
-        if self.coalesce
-            && self.last_line == Some((Port::Cpu, first_line))
-            && (addr + bytes - 1) / LINE_BYTES == first_line
-            && self.cpu_l1.coalesced_hit(addr, kind)
-        {
-            let mut out = AccessOutcome {
-                latency_ps: self.config.l1_hit_ps + 500,
-                breakdown: LatencyBreakdown {
-                    cache_ps: self.config.l1_hit_ps + 500,
-                    ..LatencyBreakdown::default()
-                },
-                lines: 1,
-                ..AccessOutcome::default()
-            };
-            out.activity.l1_accesses = 1;
-            if let Some(h) = &self.hooks {
-                let t = &h.tracer;
-                t.count("mem.cpu.accesses", 1);
-                t.count("mem.cpu.lines", 1);
-                t.count("mem.cpu.memory_lines", 0);
-                t.count("cache.cpu.writebacks", 0);
-                t.observe(latency_metric(Port::Cpu, kind), out.latency_ps);
-            }
-            return out;
-        }
-        self.cpu_walk(addr, bytes, kind, now, 0)
-    }
-
     /// The reference CPU per-line walk. `skip_hits` seeds the walk as if
     /// its first `skip_hits` lines had already been walked and hit (their
-    /// cache-state transitions were committed by [`Cache::try_hit`]); the
-    /// loop resumes at exactly the line the scalar walk would be on, so
-    /// the outcome is bit-identical to a full scalar access.
+    /// cache-state transitions were committed by [`Cache::try_hit_run`]);
+    /// the loop resumes at exactly the line the scalar walk would be on,
+    /// so the outcome is bit-identical to a full scalar access.
     fn cpu_walk(
         &mut self,
         addr: u64,
@@ -447,7 +380,6 @@ impl MemorySystem {
         now: Ps,
         skip_hits: u64,
     ) -> AccessOutcome {
-        let first_line = addr / LINE_BYTES;
         let mut out = AccessOutcome::default();
         let mut lead: Ps = 0;
         let mut occupancy: Ps = 0;
@@ -534,16 +466,6 @@ impl MemorySystem {
             service_ps: lead_split.service_ps + wait_split.service_ps,
             link_ps: lead_split.link_ps + wait_split.link_ps,
         };
-        // Arm the fast path only when this access was itself a
-        // single-line L1 hit (no LLC or memory involvement).
-        self.last_line = if out.lines == 1
-            && out.activity.llc_accesses == 0
-            && out.memory_lines == 0
-        {
-            Some((Port::Cpu, first_line))
-        } else {
-            None
-        };
         if let Some(h) = &self.hooks {
             let t = &h.tracer;
             t.count("mem.cpu.accesses", 1);
@@ -564,57 +486,6 @@ impl MemorySystem {
         out
     }
 
-    fn pim_access(
-        &mut self,
-        port: Port,
-        addr: u64,
-        bytes: u64,
-        kind: AccessKind,
-        now: Ps,
-    ) -> Result<AccessOutcome, DmpimError> {
-        let first_line = addr / LINE_BYTES;
-        // Fast path: single-line repeat of the previous private-cache hit
-        // from the same PIM port (see `cpu_access`). `last_line` is only
-        // ever keyed by a PIM port after a successful stacked-backend
-        // access, so no backend re-check is needed here.
-        if self.coalesce
-            && port != Port::Cpu
-            && self.last_line == Some((port, first_line))
-            && (addr + bytes - 1) / LINE_BYTES == first_line
-        {
-            let (cache, hit_ps): (&mut Cache, Ps) = match port {
-                Port::PimAccel => (&mut self.scratch, 1_000),
-                _ => (&mut self.pim_l1, 2_000),
-            };
-            if cache.coalesced_hit(addr, kind) {
-                let mut out = AccessOutcome {
-                    latency_ps: hit_ps + 1_000,
-                    breakdown: LatencyBreakdown {
-                        cache_ps: hit_ps + 1_000,
-                        ..LatencyBreakdown::default()
-                    },
-                    lines: 1,
-                    ..AccessOutcome::default()
-                };
-                if port == Port::PimAccel {
-                    out.activity.scratch_accesses = 1;
-                } else {
-                    out.activity.l1_accesses = 1;
-                }
-                if let Some(h) = &self.hooks {
-                    let t = &h.tracer;
-                    t.count("mem.pim.accesses", 1);
-                    t.count("mem.pim.lines", 1);
-                    t.count("mem.pim.memory_lines", 0);
-                    t.count("cache.pim.writebacks", 0);
-                    t.observe(latency_metric(port, kind), out.latency_ps);
-                }
-                return Ok(out);
-            }
-        }
-        self.pim_walk(port, addr, bytes, kind, now, 0)
-    }
-
     /// The reference PIM per-line walk; see [`Self::cpu_walk`] for the
     /// `skip_hits` resume contract.
     fn pim_walk(
@@ -626,7 +497,6 @@ impl MemorySystem {
         now: Ps,
         skip_hits: u64,
     ) -> Result<AccessOutcome, DmpimError> {
-        let first_line = addr / LINE_BYTES;
         let mut out = AccessOutcome::default();
         let mut lead: Ps = 0;
         let mut occupancy: Ps = 0;
@@ -757,11 +627,6 @@ impl MemorySystem {
                 }
             }
         }
-        self.last_line = if out.lines == 1 && out.memory_lines == 0 {
-            Some((port, first_line))
-        } else {
-            None
-        };
         Ok(out)
     }
 
@@ -857,7 +722,6 @@ impl MemorySystem {
     /// Used at offload boundaries so PIM logic observes CPU writes; the
     /// caller is responsible for pricing the returned writebacks.
     pub fn flush_cpu_caches(&mut self) -> u64 {
-        self.last_line = None;
         self.cpu_l1.flush_all() + self.llc.flush_all()
     }
 

@@ -477,22 +477,20 @@ impl Scheduler {
             .unwrap_or_default()
     }
 
-    /// A point-in-time statistics snapshot.
+    /// A point-in-time statistics snapshot. Taken under the state lock,
+    /// which every admission and terminal result also holds, so each
+    /// snapshot satisfies `submitted == completed + in_flight`.
     pub fn stats(&self) -> Stats {
         let c = &self.core.counters;
-        let (in_flight, clients, draining, overloaded) = self
-            .core
-            .state
-            .lock()
-            .map(|st| {
-                (
-                    st.ledger.total_in_flight as u64,
-                    st.ledger.client_count() as u64,
-                    u64::from(st.draining),
-                    st.ledger.total_rejected(),
-                )
-            })
-            .unwrap_or((0, 0, 0, 0));
+        let st = self.core.state.lock().ok();
+        let (in_flight, clients, draining, overloaded) = st.as_ref().map_or((0, 0, 0, 0), |st| {
+            (
+                st.ledger.total_in_flight as u64,
+                st.ledger.client_count() as u64,
+                u64::from(st.draining),
+                st.ledger.total_rejected(),
+            )
+        });
         Stats {
             submitted: c.submitted.load(Ordering::Relaxed),
             completed: c.completed.load(Ordering::Relaxed),
@@ -902,9 +900,11 @@ fn handle_done(
             core.note_journal_drop("result", &result.id, &err);
         }
     }
+    // Count the job before the lock drops, so no `stats` snapshot and no
+    // returned `wait` can see it released from the ledger but not done.
     st.ledger.release(&client);
-    drop(st);
     core.count_terminal(result.status);
+    drop(st);
     core.tracer.count("serve.completed", 1);
     core.tracer.gauge_add("serve.in_flight", -1.0);
     core.tracer.gauge_add("serve.queue_depth", -1.0);
@@ -968,6 +968,49 @@ mod tests {
         s.drain();
         s.join();
         assert!(s.is_stopped());
+    }
+
+    #[test]
+    fn stats_snapshots_balance_and_count_every_waited_job() {
+        // A poller hammers `stats` while batches of echo jobs are admitted
+        // and finish: every snapshot must balance admitted jobs against
+        // completed + in flight, and a job whose `wait` has returned must
+        // already be counted as completed.
+        let s = Arc::new(start(ServePolicy { workers: 4, ..quick_policy() }, echo_resolver()));
+        let stop = Arc::new(AtomicBool::new(false));
+        let poller = {
+            let (s, stop) = (Arc::clone(&s), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let mut snapshots = 0u64;
+                while !stop.load(Ordering::SeqCst) {
+                    let st = s.stats();
+                    assert_eq!(st.submitted, st.completed + st.in_flight, "{st:?}");
+                    snapshots += 1;
+                    std::thread::yield_now();
+                }
+                snapshots
+            })
+        };
+        let mut waited = 0u64;
+        for batch in 0..15 {
+            let ids: Vec<String> = (0..20).map(|i| format!("b{batch}-j{i}")).collect();
+            for id in &ids {
+                assert_eq!(s.submit("c1", id, id), SubmitOutcome::Accepted { state: "queued" });
+            }
+            for id in &ids {
+                assert!(matches!(s.wait(id, Some(Duration::from_secs(10))), WaitOutcome::Done(_)));
+                waited += 1;
+                let completed = s.stats().completed;
+                assert!(completed >= waited, "{id} returned from wait; completed {completed}");
+            }
+        }
+        stop.store(true, Ordering::SeqCst);
+        let snapshots = poller.join().expect("a stats snapshot did not balance");
+        assert!(snapshots > 0);
+        let st = s.stats();
+        assert_eq!((st.submitted, st.completed, st.in_flight), (300, 300, 0));
+        s.drain();
+        s.join();
     }
 
     #[test]

@@ -11,11 +11,12 @@ cd "$(dirname "$0")/.."
 echo "==> cargo build --release"
 cargo build --release
 
-echo "==> cargo test -q (chaos matrix capped at ${PIM_CHAOS_SEEDS:-8} seeds/family)"
+echo "==> cargo test --workspace -q (chaos matrix capped at ${PIM_CHAOS_SEEDS:-8} seeds/family)"
+# Every crate's unit and integration tests, not just the root package's.
 # The seeded chaos matrices (crates/{harness,serve}/tests/chaos_matrix.rs)
-# default to 64 seeds per fault family; the tier-1 gate caps them so the
-# loop stays fast. `scripts/chaos_smoke.sh --full` runs the full matrix.
-PIM_CHAOS_SEEDS="${PIM_CHAOS_SEEDS:-8}" cargo test -q
+# default to 64 seeds per fault family; the gate caps them so the loop
+# stays fast. `scripts/chaos_smoke.sh --full` runs the full matrix.
+PIM_CHAOS_SEEDS="${PIM_CHAOS_SEEDS:-8}" cargo test --workspace -q
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -26,11 +27,11 @@ cargo bench -q -p pim-bench --bench trace_overhead -- --smoke
 echo "==> profiler-overhead bench (smoke)"
 cargo bench -q -p pim-bench --bench profiler_overhead -- --smoke
 
-echo "==> hotpath bench incl. ranged_vs_scalar (smoke)"
-# Prints the ranged-descriptor engine against the forced per-row scalar
-# walk on all three ports; the bit-identity of the two paths is enforced
-# by tests/hotpath_differential.rs, this just keeps the bench compiling
-# and running.
+echo "==> hotpath bench: ranged_vs_scalar (smoke)"
+# Prints the ranged-descriptor engine against the per-row scalar walk on
+# all three ports; the bit-identity of the two paths is enforced by
+# tests/hotpath_differential.rs, this just keeps the bench compiling and
+# running.
 hotpath_out=$(cargo bench -q -p pim-bench --bench hotpath -- --smoke)
 echo "$hotpath_out" | grep -q 'ranged_vs_scalar' \
     || { echo "hotpath bench: ranged_vs_scalar case missing"; exit 1; }
@@ -51,7 +52,7 @@ echo "==> perf smoke: repro --json scorecard drift gate"
 # Regenerates BENCH_repro.json (simulated scorecard + wall-clock timing)
 # and fails if the scorecard block drifted from the committed file. The
 # timing fields move run to run by design; the simulated results must
-# not — the access fast path and any future perf work are held to
+# not — the ranged access engine and any future perf work are held to
 # bit-identical scorecards.
 # (The colon keeps the newer "scorecard_summary" line out of the match.)
 committed=$(git show HEAD:BENCH_repro.json 2>/dev/null | grep '"scorecard":' || true)

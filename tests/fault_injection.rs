@@ -88,8 +88,8 @@ fn hostile_environment_degrades_to_cpu() {
 }
 
 /// Zero-byte DRAM draws consume no randomness and leave no trace in the
-/// plan's statistics: interleaving them freely (as the access fast path
-/// does by skipping the call entirely) cannot shift later draws.
+/// plan's statistics: interleaving them freely (as `SimContext::access`
+/// does by skipping the call on cache hits) cannot shift later draws.
 #[test]
 fn zero_byte_dram_draws_consume_no_randomness() {
     let cfg = FaultConfig::with_rate(0.7);

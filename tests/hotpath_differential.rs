@@ -1,44 +1,18 @@
-//! Differential tests for the line-coalescing fast path.
+//! Differential tests for the ranged access engine.
 //!
-//! `SimContext::set_fast_path(false)` forces every access through the
-//! full per-line cache walk, fault draw and coherence loop. These tests
-//! drive SplitMix64 random mixed read/write streams — over a million
-//! accesses across the three study platforms — and assert that every
-//! observable (simulated time, activity counters, energy, cache and
-//! coherence statistics) is bit-identical between the two paths, with
-//! and without a seeded fault plan, with and without tracing.
+//! memsim has two access paths: the reference per-line walk and the
+//! ranged streak engine behind `SimContext::access_range`. A ranged
+//! descriptor is defined as the per-row scalar loop of `SimContext::access`
+//! calls; these tests drive strided and streaming adversaries on the
+//! three study platforms — with and without a seeded fault plan, with and
+//! without tracing — and assert that every observable (simulated time,
+//! activity counters, energy, cache and coherence statistics, tracer
+//! metrics) is bit-identical between the descriptor and that loop.
 
 use dmpim::core::rng::SplitMix64;
 use dmpim::core::{
     AccessKind, EngineTiming, FaultConfig, FaultPlan, Platform, Port, SimContext, Tracer,
 };
-
-const LINE: u64 = 64;
-const WORKING_SET: u64 = 4 << 20;
-
-/// Drive a random mixed read/write stream. Roughly half the accesses
-/// re-touch the previous address (the pattern the fast path coalesces);
-/// the rest jump across the working set with sizes that sometimes span
-/// multiple lines, so both paths are exercised in interleaved order.
-fn drive(ctx: &mut SimContext, accesses: usize, seed: u64) {
-    let buf = ctx.alloc(WORKING_SET);
-    let lines = WORKING_SET / LINE;
-    let mut rng = SplitMix64::new(seed);
-    let mut addr = buf.addr(0);
-    for _ in 0..accesses {
-        if rng.next_below(2) == 0 {
-            let line = rng.next_below(lines);
-            addr = buf.addr(line * LINE + rng.next_below(LINE));
-        }
-        let bytes = match rng.next_below(8) {
-            0 => 1 + rng.next_below(200), // occasionally multi-line
-            _ => 1 + rng.next_below(16),
-        };
-        let kind =
-            if rng.next_below(4) == 0 { AccessKind::Write } else { AccessKind::Read };
-        ctx.access(addr, bytes, kind);
-    }
-}
 
 /// Everything observable about a finished simulation, formatted so a
 /// string comparison is a bit-level comparison (floats via `to_bits`).
@@ -63,49 +37,6 @@ fn platforms() -> Vec<(&'static str, Platform, EngineTiming, Port)> {
         ("pim-core", Platform::pim(), EngineTiming::pim_core(), Port::PimCore),
         ("pim-acc", Platform::pim(), EngineTiming::pim_accel(), Port::PimAccel),
     ]
-}
-
-fn run(
-    platform: Platform,
-    timing: EngineTiming,
-    port: Port,
-    fast: bool,
-    accesses: usize,
-    seed: u64,
-    faults: Option<u64>,
-) -> String {
-    let mut ctx = SimContext::new(platform, timing, port);
-    if let Some(fault_seed) = faults {
-        let plan = FaultPlan::new(FaultConfig::with_rate(0.4), fault_seed).unwrap();
-        ctx = ctx.with_fault_plan(plan);
-    }
-    ctx.set_fast_path(fast);
-    drive(&mut ctx, accesses, seed);
-    fingerprint(&ctx)
-}
-
-/// Fast vs slow bit-identity on all three platforms, over a million
-/// random accesses in aggregate.
-#[test]
-fn fast_path_is_bit_identical_on_all_platforms() {
-    for (name, platform, timing, port) in platforms() {
-        let fast = run(platform, timing, port, true, 350_000, 0x0701 ^ port as u64, None);
-        let slow = run(platform, timing, port, false, 350_000, 0x0701 ^ port as u64, None);
-        assert_eq!(fast, slow, "platform {name}");
-    }
-}
-
-/// Bit-identity holds with a seeded fault plan: the fast path must not
-/// change how many random draws the plan consumes.
-#[test]
-fn fast_path_is_bit_identical_under_faults() {
-    for (name, platform, timing, port) in platforms() {
-        let fast =
-            run(platform, timing, port, true, 120_000, 0x0702, Some(0xFA57 ^ port as u64));
-        let slow =
-            run(platform, timing, port, false, 120_000, 0x0702, Some(0xFA57 ^ port as u64));
-        assert_eq!(fast, slow, "platform {name}");
-    }
 }
 
 /// Emit the ranged-access adversary stream: column-major plane walks
@@ -164,7 +95,6 @@ fn run_adversary(
     timing: EngineTiming,
     port: Port,
     ranged: bool,
-    fast: bool,
     faults: Option<u64>,
 ) -> String {
     let mut ctx = SimContext::new(platform, timing, port);
@@ -172,7 +102,6 @@ fn run_adversary(
         let plan = FaultPlan::new(FaultConfig::with_rate(0.4), fault_seed).unwrap();
         ctx = ctx.with_fault_plan(plan);
     }
-    ctx.set_fast_path(fast);
     drive_adversary(&mut ctx, ranged, 0x0704 ^ port as u64);
     fingerprint(&ctx)
 }
@@ -184,8 +113,8 @@ fn run_adversary(
 #[test]
 fn ranged_adversaries_match_forced_scalar_walk() {
     for (name, platform, timing, port) in platforms() {
-        let ranged = run_adversary(platform, timing, port, true, true, None);
-        let scalar = run_adversary(platform, timing, port, false, false, None);
+        let ranged = run_adversary(platform, timing, port, true, None);
+        let scalar = run_adversary(platform, timing, port, false, None);
         assert_eq!(ranged, scalar, "platform {name}");
     }
 }
@@ -196,9 +125,8 @@ fn ranged_adversaries_match_forced_scalar_walk() {
 #[test]
 fn ranged_adversaries_match_forced_scalar_under_faults() {
     for (name, platform, timing, port) in platforms() {
-        let ranged = run_adversary(platform, timing, port, true, true, Some(0xFA58 ^ port as u64));
-        let scalar =
-            run_adversary(platform, timing, port, false, false, Some(0xFA58 ^ port as u64));
+        let ranged = run_adversary(platform, timing, port, true, Some(0xFA58 ^ port as u64));
+        let scalar = run_adversary(platform, timing, port, false, Some(0xFA58 ^ port as u64));
         assert_eq!(ranged, scalar, "platform {name}");
     }
 }
@@ -212,27 +140,8 @@ fn ranged_adversaries_match_forced_scalar_with_tracing() {
         let tb = Tracer::new();
         let mut a = SimContext::new(platform, timing, port).with_tracer(&ta);
         let mut b = SimContext::new(platform, timing, port).with_tracer(&tb);
-        b.set_fast_path(false);
         drive_adversary(&mut a, true, 0x0705);
         drive_adversary(&mut b, false, 0x0705);
-        assert_eq!(fingerprint(&a), fingerprint(&b), "platform {name}");
-        assert_eq!(ta.metrics().to_json(), tb.metrics().to_json(), "platform {name}");
-    }
-}
-
-/// Bit-identity holds with tracing enabled, and the two paths emit the
-/// same metric totals (the fast path replays the exact per-access
-/// tracer updates the slow path would have made).
-#[test]
-fn fast_path_emits_identical_trace_metrics() {
-    for (name, platform, timing, port) in platforms() {
-        let ta = Tracer::new();
-        let tb = Tracer::new();
-        let mut a = SimContext::new(platform, timing, port).with_tracer(&ta);
-        let mut b = SimContext::new(platform, timing, port).with_tracer(&tb);
-        b.set_fast_path(false);
-        drive(&mut a, 60_000, 0x0703);
-        drive(&mut b, 60_000, 0x0703);
         assert_eq!(fingerprint(&a), fingerprint(&b), "platform {name}");
         assert_eq!(ta.metrics().to_json(), tb.metrics().to_json(), "platform {name}");
     }
