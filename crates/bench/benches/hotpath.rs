@@ -4,13 +4,17 @@
 //! timed with `std::time::Instant` — see `kernels.rs` for the rationale.
 //! The same strided plane walk is issued once as ranged descriptors and
 //! once as the per-row `SimContext::access` loop a descriptor is defined
-//! as, so the printout shows what the streak commit buys on each port.
+//! as, so the printout shows what the streak commit buys on each port —
+//! plain, and traced under a thermal-throttle fault plan (the streaks
+//! then hold the plan's window state and batch their trace metrics).
 //! Bit-identity of the two is enforced by `tests/hotpath_differential.rs`.
 
 use std::hint::black_box;
 use std::time::Instant;
 
-use pim_core::{AccessKind, EngineTiming, Platform, Port, SimContext};
+use pim_core::{
+    AccessKind, EngineTiming, FaultConfig, FaultPlan, Platform, Port, SimContext, Tracer,
+};
 
 /// Time `f` over `iters` iterations (plus a 10% warm-up) and print the
 /// per-iteration latency.
@@ -26,13 +30,28 @@ fn bench<T>(name: &str, iters: u32, mut f: impl FnMut() -> T) {
     println!("{name:<40} {:>10.1} us/iter", per_s * 1e6);
 }
 
-fn ctx(port: Port) -> SimContext {
+/// A context on `port`'s platform; `traced_faulted` attaches an enabled
+/// tracer and a throttle-only fault plan whose windows cover part of the
+/// walk.
+fn ctx(port: Port, traced_faulted: bool) -> SimContext {
     let (platform, timing) = match port {
         Port::Cpu => (Platform::baseline(), EngineTiming::soc_cpu()),
         Port::PimCore => (Platform::pim(), EngineTiming::pim_core()),
         Port::PimAccel => (Platform::pim(), EngineTiming::pim_accel()),
     };
-    SimContext::new(platform, timing, port)
+    let ctx = SimContext::new(platform, timing, port);
+    if !traced_faulted {
+        return ctx;
+    }
+    let throttle = FaultConfig {
+        throttle_windows: 3,
+        throttle_window_ps: 20_000_000,
+        throttle_factor: 1.5,
+        horizon_ps: 200_000_000,
+        ..FaultConfig::none()
+    };
+    let plan = FaultPlan::new(throttle, 7).expect("valid throttle plan");
+    ctx.with_tracer(&Tracer::new()).with_fault_plan(plan)
 }
 
 /// Strided plane walk: 16 rectangles of 512 B x 1024 rows over a
@@ -61,11 +80,14 @@ fn main() {
     let iters = if smoke { 2 } else { 50 };
     for port in [Port::Cpu, Port::PimCore, Port::PimAccel] {
         println!("[{port:?}]");
-        for (name, ranged) in
-            [("ranged_vs_scalar/ranged_64k", true), ("ranged_vs_scalar/scalar_64k", false)]
-        {
+        for (name, ranged, traced_faulted) in [
+            ("ranged_vs_scalar/ranged_64k", true, false),
+            ("ranged_vs_scalar/scalar_64k", false, false),
+            ("ranged_vs_scalar/traced_faulted_ranged_64k", true, true),
+            ("ranged_vs_scalar/traced_faulted_scalar_64k", false, true),
+        ] {
             bench(name, iters, || {
-                let mut c = ctx(port);
+                let mut c = ctx(port, traced_faulted);
                 plane_walk(&mut c, ranged);
                 c.now_ps()
             });

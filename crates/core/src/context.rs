@@ -7,7 +7,7 @@ use pim_energy::{Component, EnergyBreakdown, EnergyParams, Engine, OpClass};
 use pim_faults::{DmpimError, FaultKind, FaultPlan, FaultStats, Watchdog};
 use pim_memsim::{
     line_count, AccessKind, AccessOutcome, Activity, CoherenceModel, MemorySystem, Port, Ps,
-    CPU_LINE_PS, LINE_BYTES, PIM_LINE_PS, PIM_L1_HIT_PS, SCRATCH_HIT_PS,
+    LINE_BYTES,
 };
 use pim_trace::{TrackId, Tracer};
 
@@ -163,8 +163,10 @@ pub struct SimContext {
 /// all-hit row of a fixed line count books on the current port/engine.
 #[derive(Debug, Clone, Copy)]
 struct RowTemplate {
-    /// Exposed stall per row, in ps.
+    /// Exposed stall per row (thermal throttle included), in ps.
     stall: Ps,
+    /// Per-row stall added by the thermal throttle, in ps.
+    throttled: Ps,
     /// Per-row increment of `CostBreakdown::cache_ps` (the scalar path's
     /// `latency * (stall / latency)`, kept in its exact f64 form).
     cache_add: f64,
@@ -364,36 +366,45 @@ impl SimContext {
     /// On a poisoned context this is a no-op; with a fault plan attached,
     /// injected faults poison the context (see the type-level docs).
     pub fn access(&mut self, addr: u64, bytes: u64, kind: AccessKind) {
-        if bytes == 0 || !self.tick() {
+        if bytes == 0 || !self.tick() || !self.pim_gate(addr) {
             return;
         }
-        if self.port != Port::Cpu {
-            if let Some(plan) = self.faults.as_mut() {
-                if let Some(_remaining) = plan.pim_unavailable(self.now_ps) {
-                    let at_ps = self.now_ps;
-                    self.trip(DmpimError::FaultTransient {
-                        kind: FaultKind::PimUnavailable,
-                        at_ps,
-                    });
-                    return;
-                }
-                if plan.vault_failed(addr, self.now_ps) {
-                    let at_ps = self.now_ps;
-                    self.trip(DmpimError::FaultUnrecoverable {
-                        kind: FaultKind::VaultFailure,
-                        at_ps,
-                    });
-                    return;
-                }
-            }
+        match self.mem.access_from(self.port, addr, bytes, kind, self.now_ps) {
+            Ok(out) => self.settle(&out),
+            Err(e) => self.trip(e),
         }
-        let out = match self.mem.access_from(self.port, addr, bytes, kind, self.now_ps) {
-            Ok(out) => out,
-            Err(e) => {
-                self.trip(e);
-                return;
-            }
+    }
+
+    /// The fault plan's checks before a PIM-port access: trip (and return
+    /// `false`) while the PIM logic is unavailable or once the vault `addr`
+    /// lives in has failed.
+    fn pim_gate(&mut self, addr: u64) -> bool {
+        if self.port == Port::Cpu {
+            return true;
+        }
+        let Some(plan) = self.faults.as_mut() else {
+            return true;
         };
+        let at_ps = self.now_ps;
+        let fault = if plan.pim_unavailable(at_ps).is_some() {
+            DmpimError::FaultTransient { kind: FaultKind::PimUnavailable, at_ps }
+        } else if self.mem.vault_of(addr).is_some_and(|v| plan.vault_failed(v, at_ps)) {
+            DmpimError::FaultUnrecoverable { kind: FaultKind::VaultFailure, at_ps }
+        } else {
+            return true;
+        };
+        self.trip(fault);
+        false
+    }
+
+    /// Settle one walked access: draw its DRAM faults (ECC correction
+    /// charge, detected-uncorrectable trip), stretch its stall by the
+    /// thermal throttle, then book it — trace the stall, advance the
+    /// clock, split the stall across cost layers, count coherence lookups,
+    /// and price the activity into the current tag's ledger. Shared by
+    /// [`SimContext::access`] and the ranged engine's partial row, so fault
+    /// draws keep the reference order.
+    fn settle(&mut self, out: &AccessOutcome) {
         let mut stall = self.timing.exposed_stall_ps(out.latency_ps);
         let mut uncorrectable = false;
         if let Some(plan) = self.faults.as_mut() {
@@ -406,12 +417,7 @@ impl SimContext {
                 uncorrectable = flips.uncorrectable;
             }
             if self.port != Port::Cpu {
-                let factor = plan.throttle_factor(self.now_ps);
-                if factor != 1.0 {
-                    let slowed = (stall as f64 * factor) as Ps;
-                    plan.note_throttled(slowed - stall);
-                    stall = slowed;
-                }
+                stall = plan.throttle(self.now_ps, stall);
             }
         }
         if uncorrectable {
@@ -421,14 +427,6 @@ impl SimContext {
             let at_ps = self.now_ps;
             self.trip(DmpimError::FaultTransient { kind: FaultKind::BitFlip, at_ps });
         }
-        self.commit_outcome(&out, stall);
-    }
-
-    /// Book one access outcome: trace the stall, advance the clock, split
-    /// the exposed stall across cost layers, count coherence lookups, and
-    /// price the activity into the current tag's ledger. Shared tail of
-    /// [`SimContext::access`] and the ranged engine's partial-row path.
-    fn commit_outcome(&mut self, out: &AccessOutcome, stall: Ps) {
         if self.tracks.is_some() {
             self.tracer.observe(stall_metric(self.timing.engine), stall);
         }
@@ -471,13 +469,15 @@ impl SimContext {
     ///
     /// Bit-identical to the scalar loop
     /// `for i in 0..rows { self.access(addr + i*row_stride, row_bytes, kind) }`
-    /// (same clock, ledger, energy bits, cache state, watchdog trips), but
-    /// rows whose lines all hit the first private cache level are committed
-    /// in batches: one set-lookup per distinct line and one template-priced
+    /// (same clock, ledger, energy bits, cache state, watchdog trips, fault
+    /// draws and statistics, trace events and metrics), but rows whose
+    /// lines all hit the first private cache level are committed in
+    /// batches: one set-lookup per distinct line and one template-priced
     /// accounting pass per streak, instead of the full per-access walk.
-    /// With a fault plan or tracer attached the engine falls back to the
-    /// scalar loop, which draws per-access faults and emits per-access
-    /// trace events in the reference order.
+    /// An all-hit row draws no DRAM faults and emits no trace event, so a
+    /// streak only has to hold the fault plan's windowed state constant
+    /// ([`FaultPlan::pim_window`]) and book its metrics once, multiplied
+    /// out; rows that miss settle on the reference walk in row order.
     pub fn access_range(
         &mut self,
         addr: u64,
@@ -489,10 +489,7 @@ impl SimContext {
         if row_bytes == 0 || rows == 0 || self.error.is_some() {
             return;
         }
-        let mut done = 0;
-        if self.faults.is_none() && self.tracks.is_none() {
-            done = self.ranged_fast(addr, row_bytes, row_stride, rows, kind);
-        }
+        let done = self.ranged_fast(addr, row_bytes, row_stride, rows, kind);
         for i in done..rows {
             self.access(addr + i * row_stride, row_bytes, kind);
         }
@@ -510,16 +507,19 @@ impl SimContext {
 
     /// Latency/energy template of one all-hit row of `lines` lines on the
     /// current port: every committed streak row books exactly these values,
-    /// which equal what the scalar walk computes for the same row.
-    fn row_template(&self, lines: u64) -> RowTemplate {
-        let (latency, scratch) = match self.port {
-            Port::Cpu => (self.mem.config().l1_hit_ps + CPU_LINE_PS * lines, false),
-            Port::PimCore => (PIM_L1_HIT_PS + PIM_LINE_PS * lines, false),
-            Port::PimAccel => (SCRATCH_HIT_PS + PIM_LINE_PS * lines, true),
+    /// which equal what the scalar walk computes for the same row. Also
+    /// returns how many such rows from now the fault plan lets a streak
+    /// hold its state for (`u64::MAX` without a plan or on the CPU port,
+    /// whose all-hit rows the plan never touches).
+    fn row_template(&self, lines: u64) -> (RowTemplate, u64) {
+        let latency = self.mem.hit_row_latency(self.port, lines);
+        let unthrottled = self.timing.exposed_stall_ps(latency);
+        let (stall, allowed) = match &self.faults {
+            Some(plan) if self.port != Port::Cpu => plan.pim_window(self.now_ps, unthrottled),
+            _ => (unthrottled, u64::MAX),
         };
-        let stall = self.timing.exposed_stall_ps(latency);
-        // Same split arithmetic as `commit_outcome`: an all-hit row's
-        // breakdown is pure cache time, so only that lane moves.
+        // Same split arithmetic as `settle`: an all-hit row's breakdown is
+        // pure cache time, so only that lane moves.
         let cache_add = if latency > 0 {
             latency as f64 * (stall as f64 / latency as f64)
         } else {
@@ -531,20 +531,22 @@ impl SimContext {
         // is `0 * pj == +0.0` (adding +0.0 never changes a non-negative
         // f64). So the direct product below is bit-equal to pricing the
         // full Activity record.
+        let scratch = self.port == Port::PimAccel;
         let row_pj = if scratch {
             lines as f64 * self.params.scratch_access_pj
         } else {
             lines as f64 * self.params.l1_access_pj
         };
-        RowTemplate { stall, cache_add, row_pj, scratch }
+        let t = RowTemplate { stall, throttled: stall - unthrottled, cache_add, row_pj, scratch };
+        (t, allowed)
     }
 
-    /// The ranged fast path: commit hit streaks in batches, complete each
+    /// The ranged fast path: commit hit streaks in batches, settle each
     /// partial row on the reference walk, and stop at the first condition
     /// the batch engine cannot express. Returns the number of leading rows
     /// fully processed; the caller replays the rest through the scalar
-    /// loop (`rows` once a watchdog trip or memory error poisoned us —
-    /// the remaining accesses would be no-ops).
+    /// loop (`rows` once a watchdog trip, fault or memory error poisoned
+    /// us — the remaining accesses would be no-ops).
     fn ranged_fast(
         &mut self,
         addr: u64,
@@ -556,19 +558,25 @@ impl SimContext {
         let mut done = 0u64;
         while done < rows {
             let base = addr + done * row_stride;
-            let t = self.row_template(line_count(base, row_bytes));
+            let (t, mut allowed) = self.row_template(line_count(base, row_bytes));
+            if allowed == 0 {
+                // Zero progress, closed fault window: the PIM is unavailable
+                // (the next access trips) or a vault has failed (it stays
+                // failed, so every later row would get 0 too). Hand the rest
+                // to the scalar loop and its per-access fault checks.
+                return done;
+            }
             // The scalar loop ticks (host event + watchdog check) *before*
             // each row's walk; bound the streak so no tick inside it can
             // trip, and reproduce the exact trip via `tick()` when the
             // very next one would.
-            let allowed = if self.watchdog.is_armed() {
-                self.watchdog.allowance(self.now_ps, self.host_events, t.stall)
-            } else {
-                u64::MAX
-            };
-            if allowed == 0 {
-                self.tick();
-                return rows;
+            if self.watchdog.is_armed() {
+                let watchdog = self.watchdog.allowance(self.now_ps, self.host_events, t.stall);
+                allowed = allowed.min(watchdog);
+                if allowed == 0 {
+                    self.tick();
+                    return rows;
+                }
             }
             let want = (rows - done).min(allowed);
             let r = self.mem.try_rows(self.port, base, row_bytes, row_stride, want, kind);
@@ -596,39 +604,36 @@ impl SimContext {
                 } else {
                     acc.activity.l1_accesses += r.lines_per_row * full;
                 }
+                if let Some(plan) = self.faults.as_mut() {
+                    plan.note_throttled(t.throttled * full);
+                }
+                if self.tracks.is_some() {
+                    self.tracer.observe_n(stall_metric(self.timing.engine), t.stall, full);
+                }
                 done += full;
             }
             if let Some(hits) = r.partial_hits {
                 // The row at `done` had its first `hits` lines committed
-                // as hits before one missed; its tick cannot trip (its
-                // index is below `allowed`). Finish it on the reference
-                // walk, which books misses/writebacks/queueing exactly.
+                // as hits before one missed. Its index is below `allowed`,
+                // so its tick cannot trip and the fault plan's checks pass;
+                // finish it on the reference walk, which books misses,
+                // writebacks and queueing exactly, and settle it like a
+                // scalar access (fault draws in row order).
                 if !self.tick() {
                     return rows;
                 }
                 let row_addr = addr + done * row_stride;
-                let out = match self.mem.finish_row(
-                    self.port,
-                    row_addr,
-                    row_bytes,
-                    kind,
-                    self.now_ps,
-                    hits,
-                ) {
-                    Ok(out) => out,
-                    Err(e) => {
-                        self.trip(e);
-                        return rows;
-                    }
-                };
-                let stall = self.timing.exposed_stall_ps(out.latency_ps);
-                self.commit_outcome(&out, stall);
+                match self.mem.finish_row(self.port, row_addr, row_bytes, kind, self.now_ps, hits) {
+                    Ok(out) => self.settle(&out),
+                    Err(e) => self.trip(e),
+                }
+                if self.error.is_some() {
+                    return rows;
+                }
                 done += 1;
             } else if full == 0 {
-                // Zero progress: the memory system's ranged path is gated
-                // off (tracer hooks, unsupported port). Hand the rest to
-                // the scalar loop for the reference behavior, including
-                // any port error.
+                // Zero progress: a PIM port on a non-stacked backend. Hand
+                // the rest to the scalar loop, which reports the port error.
                 return done;
             }
             // `full > 0 && partial_hits == None`: the streak ended at a
@@ -648,12 +653,7 @@ impl SimContext {
         let mut dur = self.timing.execute_ps(&mix);
         if self.port != Port::Cpu {
             if let Some(plan) = self.faults.as_mut() {
-                let factor = plan.throttle_factor(self.now_ps);
-                if factor != 1.0 {
-                    let slowed = (dur as f64 * factor) as Ps;
-                    plan.note_throttled(slowed - dur);
-                    dur = slowed;
-                }
+                dur = plan.throttle(self.now_ps, dur);
             }
         }
         self.now_ps += dur;

@@ -360,18 +360,11 @@ impl FaultPlan {
         ev
     }
 
-    /// Vault an address maps to (256 B interleave across the stack, as in
-    /// the stacked model).
-    pub fn vault_of(&self, addr: u64) -> u32 {
-        ((addr >> 8) % self.config.vaults as u64) as u32
-    }
-
-    /// Whether `addr` lives in a vault that has failed by attempt-local
-    /// time `now`.
-    pub fn vault_failed(&mut self, addr: u64, now: Ps) -> bool {
+    /// Whether `vault` (an index as the memory system maps addresses to
+    /// vaults) has failed by attempt-local time `now`.
+    pub fn vault_failed(&mut self, vault: usize, now: Ps) -> bool {
         let world = now.saturating_add(self.world_offset_ps);
-        let v = self.vault_of(addr);
-        let hit = self.vault_failures.iter().any(|&(fv, at)| fv == v && world >= at);
+        let hit = self.vault_failures.iter().any(|&(fv, at)| fv as usize == vault && world >= at);
         if hit {
             self.stats.vault_hits += 1;
         }
@@ -409,9 +402,45 @@ impl FaultPlan {
         1.0
     }
 
+    /// Stretch `ps` of logic-layer time starting at attempt-local `now` by
+    /// the thermal throttle in effect, booking the extra time as throttled.
+    pub fn throttle(&mut self, now: Ps, ps: Ps) -> Ps {
+        let slowed = stretch(ps, self.throttle_factor(now));
+        self.note_throttled(slowed - ps);
+        slowed
+    }
+
     /// Record `ps` of execution spent under throttle (bookkeeping only).
     pub fn note_throttled(&mut self, ps: Ps) {
         self.stats.throttled_ps += ps;
+    }
+
+    /// The PIM-side fault state a batched engine may hold constant, in the
+    /// manner of [`Watchdog::allowance`]. For back-to-back PIM accesses
+    /// from attempt-local `now`, each stalling `stall_ps` before throttling,
+    /// returns how far each advances the clock under the throttle in effect
+    /// at `now`, and how many of them start before the next window edge (an
+    /// unavailability start, a throttle start or end, a vault failure) — so
+    /// every one of them gets the first one's [`Self::pim_unavailable`],
+    /// [`Self::throttle_factor`] and [`Self::vault_failed`] answers. The
+    /// count is 0 while the PIM is unavailable and once any vault has
+    /// failed: those accesses must take the per-access checks.
+    pub fn pim_window(&self, now: Ps, stall_ps: Ps) -> (Ps, u64) {
+        let world = now.saturating_add(self.world_offset_ps);
+        let step = stretch(stall_ps, self.throttle_factor(now));
+        let unavailable = self.unavail.iter().any(|&(s, e)| (s..e).contains(&world));
+        if unavailable || self.vault_failures.iter().any(|&(_, at)| at <= world) {
+            return (step, 0);
+        }
+        let failures = self.vault_failures.iter().map(|&(_, at)| at);
+        let unavail_starts = self.unavail.iter().map(|&(s, _)| s);
+        let throttle_edges = self.throttle.iter().flat_map(|&(s, e)| [s, e]);
+        let edges = failures.chain(unavail_starts).chain(throttle_edges);
+        let rows = match edges.filter(|&t| t > world).min() {
+            Some(edge) if step > 0 => (edge - world).div_ceil(step),
+            _ => u64::MAX,
+        };
+        (step, rows)
     }
 
     /// Draw DRAM bit-flip events for `dram_bytes` of array traffic.
@@ -447,6 +476,15 @@ impl FaultPlan {
     /// Counters of everything injected so far.
     pub fn stats(&self) -> &FaultStats {
         &self.stats
+    }
+}
+
+/// `ps` stretched by a throttle `factor` (exactly `ps` when unthrottled).
+fn stretch(ps: Ps, factor: f64) -> Ps {
+    if factor == 1.0 {
+        ps
+    } else {
+        (ps as f64 * factor) as Ps
     }
 }
 
@@ -524,9 +562,10 @@ mod tests {
     fn zero_config_injects_nothing() {
         let mut p = FaultPlan::new(FaultConfig::none(), 42).unwrap();
         assert!(p.schedule().is_empty());
-        assert!(!p.vault_failed(0xdead_beef, 1 << 40));
+        assert!(!p.vault_failed(3, 1 << 40));
         assert!(p.pim_unavailable(123).is_none());
         assert_eq!(p.throttle_factor(123), 1.0);
+        assert_eq!(p.pim_window(123, 500), (500, u64::MAX));
         assert_eq!(p.draw_dram_faults(1 << 30), DramFaultOutcome::default());
         assert_eq!(*p.stats(), FaultStats::default());
         assert!(FaultConfig::none().is_zero());
@@ -600,6 +639,64 @@ mod tests {
         assert_eq!(a, a2, "same attempt salt must reproduce draws");
         assert_ne!(a, b, "different salt should differ at rate 1.0");
         assert_eq!(p.schedule(), sched, "schedule is attempt-invariant");
+    }
+
+    /// One PIM access's view of the plan at attempt-local `t`:
+    /// unavailable, throttle factor bits, failed vaults.
+    fn pim_state(plan: &FaultPlan, t: Ps) -> (bool, u64, Vec<usize>) {
+        let mut p = plan.clone();
+        let failed = (0..p.config.vaults as usize).filter(|&v| p.vault_failed(v, t)).collect();
+        (p.pim_unavailable(t).is_some(), p.throttle_factor(t).to_bits(), failed)
+    }
+
+    #[test]
+    fn pim_window_rows_share_the_first_rows_fault_state() {
+        let cfg = FaultConfig { vault_fail_prob: 0.2, ..FaultConfig::with_rate(1.0) };
+        let mut rng = SplitMix64::new(0x57EA_D1E5);
+        let mut opened = 0;
+        for seed in 0..32 {
+            let mut p = FaultPlan::new(cfg, seed).unwrap();
+            p.set_world_offset(rng.next_below(cfg.horizon_ps / 4));
+            for _ in 0..64 {
+                let now = rng.next_below(cfg.horizon_ps);
+                let stall = if rng.chance(0.1) { 0 } else { rng.next_below(cfg.horizon_ps / 64) };
+                let (step, rows) = p.pim_window(now, stall);
+                let first = pim_state(&p, now);
+                assert_eq!(step, stretch(stall, f64::from_bits(first.1)), "seed {seed} now {now}");
+                if rows == 0 {
+                    assert!(first.0 || !first.2.is_empty(), "closed window at {now}: {first:?}");
+                    continue;
+                }
+                opened += 1;
+                assert!(!first.0 && first.2.is_empty(), "open window at {now}: {first:?}");
+                let sampled = [1, rows / 2, rows - 1, rng.next_below(rows)];
+                for i in sampled.into_iter().filter(|&i| i < rows) {
+                    let t = now.saturating_add(i.saturating_mul(step));
+                    assert_eq!(pim_state(&p, t), first, "seed {seed} now {now} row {i}/{rows}");
+                }
+            }
+        }
+        assert!(opened > 100, "only {opened} open windows sampled");
+    }
+
+    #[test]
+    fn pim_window_is_closed_while_unavailable_and_after_a_vault_failure() {
+        let cfg = FaultConfig { vault_fail_prob: 0.5, ..FaultConfig::with_rate(1.0) };
+        let p = FaultPlan::new(cfg, 3).unwrap();
+        let sched = p.schedule();
+        for kind in [FaultKind::PimUnavailable, FaultKind::VaultFailure] {
+            assert!(sched.iter().any(|e| e.kind == kind), "seed 3 schedules no {kind:?}");
+        }
+        for e in sched {
+            let closed_at = match e.kind {
+                FaultKind::PimUnavailable => vec![e.at_ps, (e.at_ps + e.end_ps) / 2, e.end_ps - 1],
+                FaultKind::VaultFailure => vec![e.at_ps, e.at_ps + 1, u64::MAX],
+                _ => continue,
+            };
+            for t in closed_at {
+                assert_eq!(p.pim_window(t, 1_000).1, 0, "{e:?} at {t}");
+            }
+        }
     }
 
     #[test]

@@ -50,10 +50,7 @@ pub use config::{DramKind, MemConfig};
 pub use error::ConfigError;
 pub use dram::{BankArray, DramConfig, DramStats, SchedulerPolicy};
 pub use stacked::{StackedConfig, StackedMemory};
-pub use system::{
-    AccessOutcome, LatencyBreakdown, MemorySystem, Port, RowsOutcome, CPU_LINE_PS,
-    PIM_L1_HIT_PS, PIM_LINE_PS, SCRATCH_HIT_PS,
-};
+pub use system::{AccessOutcome, LatencyBreakdown, MemorySystem, Port, RowsOutcome};
 
 // The fault-injection layer lives below the simulator so every crate in the
 // workspace shares one error type and one notion of time.

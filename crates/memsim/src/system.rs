@@ -140,6 +140,30 @@ fn latency_metric(port: Port, kind: AccessKind) -> &'static str {
     }
 }
 
+/// Book `n` accesses that each had outcome `out` and `writebacks` private
+/// writebacks: the per-access counters and latency histogram of a traced
+/// walk. The one place these metric names live — each walk books itself
+/// with `n = 1`, and a committed streak of `n` all-hit rows books once.
+fn book_accesses(
+    t: &Tracer,
+    port: Port,
+    kind: AccessKind,
+    out: &AccessOutcome,
+    writebacks: u64,
+    n: u64,
+) {
+    let [accesses, lines, memory_lines, wbs] = if port == Port::Cpu {
+        ["mem.cpu.accesses", "mem.cpu.lines", "mem.cpu.memory_lines", "cache.cpu.writebacks"]
+    } else {
+        ["mem.pim.accesses", "mem.pim.lines", "mem.pim.memory_lines", "cache.pim.writebacks"]
+    };
+    t.count(accesses, n);
+    t.count(lines, n * out.lines);
+    t.count(memory_lines, n * out.memory_lines);
+    t.count(wbs, n * writebacks);
+    t.observe_n(latency_metric(port, kind), out.latency_ps, n);
+}
+
 /// Histogram name for per-line DRAM service latency (array + channel).
 fn dram_metric(kind: AccessKind) -> &'static str {
     if kind.is_write() {
@@ -245,6 +269,26 @@ impl MemorySystem {
         &self.config
     }
 
+    /// The vault `addr` lives in on a stacked backend (`None` on LPDDR3,
+    /// which has no vaults).
+    pub fn vault_of(&self, addr: u64) -> Option<usize> {
+        match &self.backend {
+            Backend::Stacked(s) => Some(s.vault_of(addr)),
+            Backend::Lpddr3 { .. } => None,
+        }
+    }
+
+    /// Latency of an access of `lines` lines on `port` that hits the first
+    /// private level in every line: the hit lead-in plus per-line occupancy,
+    /// exactly what the walks compute for such an access.
+    pub fn hit_row_latency(&self, port: Port, lines: u64) -> Ps {
+        match port {
+            Port::Cpu => self.config.l1_hit_ps + CPU_LINE_PS * lines,
+            Port::PimCore => PIM_L1_HIT_PS + PIM_LINE_PS * lines,
+            Port::PimAccel => SCRATCH_HIT_PS + PIM_LINE_PS * lines,
+        }
+    }
+
     /// Convenience: CPU-port access (see [`Self::access_from`]).
     ///
     /// The CPU path works on every backend, so this is infallible.
@@ -283,18 +327,19 @@ impl MemorySystem {
     /// stride/run-length descriptor `(addr, bytes, stride) x rows` as
     /// possible, touching only the first private cache level.
     ///
-    /// Each committed row is bit-identical (cache state and stats) to
-    /// the scalar walk `access_from(port, addr + i*stride, bytes, kind)`
-    /// whose every line hit. The streak stops at the first row with a
-    /// missing line (its leading hits are committed; finish it with
-    /// [`Self::finish_row`]), at the first row whose line count differs
-    /// from the streak's, or after `rows` rows.
+    /// Each committed row is bit-identical (cache state, stats and, with
+    /// a tracer attached, metrics) to the scalar walk
+    /// `access_from(port, addr + i*stride, bytes, kind)` whose every line
+    /// hit; such a walk emits no trace event, so the streak books its
+    /// per-access metrics once, multiplied out. The streak stops at the
+    /// first row with a missing line (its leading hits are committed;
+    /// finish it with [`Self::finish_row`]), at the first row whose line
+    /// count differs from the streak's, or after `rows` rows.
     ///
     /// Returns a zero-progress outcome (and mutates nothing) whenever the
-    /// ranged path cannot be used: a tracer attached, a PIM port on a
-    /// non-stacked backend, or an empty descriptor — the caller then
-    /// falls back to the scalar walk, which also reproduces any port
-    /// error.
+    /// ranged path cannot be used: a PIM port on a non-stacked backend,
+    /// or an empty descriptor — the caller then falls back to the scalar
+    /// walk, which also reproduces the port error.
     pub fn try_rows(
         &mut self,
         port: Port,
@@ -305,7 +350,7 @@ impl MemorySystem {
         kind: AccessKind,
     ) -> RowsOutcome {
         let none = RowsOutcome::default();
-        if bytes == 0 || rows == 0 || self.hooks.is_some() {
+        if bytes == 0 || rows == 0 {
             return none;
         }
         let cache: &mut Cache = match port {
@@ -336,6 +381,16 @@ impl MemorySystem {
                 break 'rows;
             }
             full += 1;
+        }
+        if full > 0 {
+            if let Some(h) = &self.hooks {
+                let row = AccessOutcome {
+                    latency_ps: self.hit_row_latency(port, lines_per_row),
+                    lines: lines_per_row,
+                    ..AccessOutcome::default()
+                };
+                book_accesses(&h.tracer, port, kind, &row, 0, full);
+            }
         }
         RowsOutcome { lines_per_row, full_rows: full, partial_hits: partial }
     }
@@ -409,7 +464,7 @@ impl MemorySystem {
                     lead_split =
                         LatencyBreakdown { cache_ps: lead, ..LatencyBreakdown::default() };
                 }
-                occupancy += 500; // one line per 2 GHz cycle
+                occupancy += CPU_LINE_PS;
                 continue;
             }
             // L1 writeback goes to the LLC (traffic only, off critical path).
@@ -468,11 +523,7 @@ impl MemorySystem {
         };
         if let Some(h) = &self.hooks {
             let t = &h.tracer;
-            t.count("mem.cpu.accesses", 1);
-            t.count("mem.cpu.lines", out.lines);
-            t.count("mem.cpu.memory_lines", out.memory_lines);
-            t.count("cache.cpu.writebacks", writebacks);
-            t.observe(latency_metric(Port::Cpu, kind), out.latency_ps);
+            book_accesses(t, Port::Cpu, kind, &out, writebacks, 1);
             if out.memory_lines > 0 {
                 t.complete_args(
                     h.dram,
@@ -552,7 +603,7 @@ impl MemorySystem {
             let c = cache.access(line, kind);
             if c.hit {
                 lead = lead.max(hit_ps);
-                occupancy += 1_000; // one line per 1 GHz PIM cycle
+                occupancy += PIM_LINE_PS;
                 continue;
             }
             if let Some(wb) = c.writeback {
@@ -615,11 +666,7 @@ impl MemorySystem {
         };
         if let Some(h) = hooks.as_ref() {
             let t = &h.tracer;
-            t.count("mem.pim.accesses", 1);
-            t.count("mem.pim.lines", out.lines);
-            t.count("mem.pim.memory_lines", out.memory_lines);
-            t.count("cache.pim.writebacks", writebacks);
-            t.observe(latency_metric(port, kind), out.latency_ps);
+            book_accesses(t, port, kind, &out, writebacks, 1);
             for (v, lines, dur) in per_vault {
                 if let Some(&track) = h.vaults.get(v) {
                     t.count(h.vault_lines[v].as_str(), lines);

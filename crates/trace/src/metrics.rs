@@ -58,10 +58,19 @@ impl Histogram {
 
     /// Record one observation.
     pub fn observe(&mut self, value: u64) {
+        self.observe_n(value, 1);
+    }
+
+    /// Record `n` observations of `value`; the same state as `n` calls to
+    /// [`Self::observe`] (the sum saturates either way).
+    pub fn observe_n(&mut self, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
         let idx = self.bounds.partition_point(|&b| b < value);
-        self.counts[idx] += 1;
-        self.count += 1;
-        self.sum = self.sum.saturating_add(value);
+        self.counts[idx] += n;
+        self.count += n;
+        self.sum = self.sum.saturating_add(value.saturating_mul(n));
         self.min = self.min.min(value);
         self.max = self.max.max(value);
     }
@@ -204,11 +213,20 @@ impl MetricsRegistry {
     /// Record `value` into histogram `name` (created with
     /// [`DEFAULT_BOUNDS`] on first use).
     pub fn observe(&mut self, name: &str, value: u64) {
+        self.observe_n(name, value, 1);
+    }
+
+    /// Record `n` observations of `value` into histogram `name`. With
+    /// `n == 0` nothing is recorded and no histogram is created.
+    pub fn observe_n(&mut self, name: &str, value: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
         if let Some(h) = self.histograms.get_mut(name) {
-            h.observe(value);
+            h.observe_n(value, n);
         } else {
             let mut h = Histogram::default();
-            h.observe(value);
+            h.observe_n(value, n);
             self.histograms.insert(name.to_string(), h);
         }
     }
@@ -387,6 +405,39 @@ mod tests {
         h.observe(u64::MAX);
         assert_eq!(h.sum(), u64::MAX);
         assert_eq!(h.count(), 2);
+    }
+
+    #[test]
+    fn observe_n_equals_n_single_observations() {
+        let on_bounds = DEFAULT_BOUNDS.iter().flat_map(|&b| [b - 1, b, b + 1]);
+        let extremes = [0, 1, u64::MAX / 3, u64::MAX];
+        let values: Vec<u64> = extremes.into_iter().chain(on_bounds).collect();
+        for &v in &values {
+            for n in [0u64, 1, 2, 7, 300] {
+                let mut batched = MetricsRegistry::new();
+                let mut single = MetricsRegistry::new();
+                batched.observe("h", 5);
+                single.observe("h", 5);
+                batched.observe_n("h", v, n);
+                for _ in 0..n {
+                    single.observe("h", v);
+                }
+                assert_eq!(batched, single, "value {v} x {n}");
+            }
+        }
+        // n == 0 records nothing, not even an empty histogram.
+        let mut r = MetricsRegistry::new();
+        r.observe_n("h", 42, 0);
+        assert!(r.snapshot().histograms.is_empty());
+    }
+
+    #[test]
+    fn observe_n_sum_saturates_like_repeated_observe() {
+        let mut h = Histogram::with_bounds(&[10]);
+        h.observe_n(u64::MAX / 2 + 1, 2);
+        assert_eq!(h.sum(), u64::MAX);
+        h.observe_n(u64::MAX, 3);
+        assert_eq!((h.sum(), h.count()), (u64::MAX, 5));
     }
 
     #[test]

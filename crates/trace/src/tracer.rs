@@ -210,8 +210,14 @@ impl Tracer {
 
     /// Record `value` into histogram `name`.
     pub fn observe(&self, name: &str, value: u64) {
+        self.observe_n(name, value, 1);
+    }
+
+    /// Record `n` observations of `value` into histogram `name` under one
+    /// lock: the same metrics as `n` calls to [`Tracer::observe`].
+    pub fn observe_n(&self, name: &str, value: u64, n: u64) {
         if let Some(mut inner) = self.lock() {
-            inner.metrics.observe(name, value);
+            inner.metrics.observe_n(name, value, n);
         }
     }
 

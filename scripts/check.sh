@@ -29,12 +29,15 @@ cargo bench -q -p pim-bench --bench profiler_overhead -- --smoke
 
 echo "==> hotpath bench: ranged_vs_scalar (smoke)"
 # Prints the ranged-descriptor engine against the per-row scalar walk on
-# all three ports; the bit-identity of the two paths is enforced by
+# all three ports, plain and traced under a throttle-only fault plan; the
+# bit-identity of the two paths is enforced by
 # tests/hotpath_differential.rs, this just keeps the bench compiling and
 # running.
 hotpath_out=$(cargo bench -q -p pim-bench --bench hotpath -- --smoke)
-echo "$hotpath_out" | grep -q 'ranged_vs_scalar' \
-    || { echo "hotpath bench: ranged_vs_scalar case missing"; exit 1; }
+for case in ranged_vs_scalar/ranged_64k ranged_vs_scalar/traced_faulted_ranged_64k; do
+    echo "$hotpath_out" | grep -q "$case" \
+        || { echo "hotpath bench: $case case missing"; exit 1; }
+done
 
 echo "==> harness selftest (injected panic + hung simulation)"
 # Small supervised sweep: two real kernel jobs, one injected panic, one

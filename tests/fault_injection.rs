@@ -6,7 +6,8 @@ use dmpim::chrome::lzo::{compress, decompress};
 use dmpim::chrome::tiling::TextureTilingKernel;
 use dmpim::core::rng::SplitMix64;
 use dmpim::core::{
-    DmpimError, ExecutionMode, FaultConfig, FaultPlan, OffloadEngine, RunReport, Watchdog,
+    DmpimError, EngineTiming, ExecutionMode, FaultConfig, FaultKind, FaultPlan, OffloadEngine,
+    Platform, Port, RunReport, SimContext, Watchdog,
 };
 
 fn report_key(r: &RunReport) -> (u64, u64, u64) {
@@ -141,4 +142,43 @@ fn lzo_decompress_never_panics_on_arbitrary_bytes() {
         m[at] = m[at].wrapping_add(rng.next_range(1, 256) as u8);
         let _ = decompress(&m);
     }
+}
+
+/// The fault plan and the memory system agree on which vault an address
+/// lives in. With exactly one failed vault `v`, an access at `v * 2048`
+/// (vault `v` under the stacked model's 2 KB row interleave) trips, and
+/// one at `v * 256`, which memsim serves from another vault, does not.
+#[test]
+fn failed_vault_trips_only_the_accesses_memsim_maps_to_it() {
+    let cfg = FaultConfig { vault_fail_prob: 0.1, horizon_ps: 1, ..FaultConfig::none() };
+    let (plan, v) = (0..)
+        .find_map(|seed| {
+            let plan = FaultPlan::new(cfg, seed).unwrap();
+            match plan.schedule().as_slice() {
+                [only] if only.vault != 0 => Some((plan, u64::from(only.vault))),
+                _ => None,
+            }
+        })
+        .unwrap();
+    let read = |addr: u64| {
+        let mut ctx = SimContext::new(Platform::pim(), EngineTiming::pim_core(), Port::PimCore)
+            .with_fault_plan(plan.clone());
+        ctx.read(addr, 64);
+        ctx
+    };
+    let tripped = read(v * 2048);
+    assert_eq!(tripped.memory().vault_of(v * 2048), Some(v as usize));
+    assert!(
+        matches!(
+            tripped.error(),
+            Some(DmpimError::FaultUnrecoverable { kind: FaultKind::VaultFailure, .. })
+        ),
+        "vault {v}: {:?}",
+        tripped.error()
+    );
+    assert_eq!(tripped.fault_stats().vault_hits, 1);
+    let spared = read(v * 256);
+    assert_ne!(spared.memory().vault_of(v * 256), Some(v as usize));
+    assert_eq!(spared.error(), None, "vault {v}");
+    assert_eq!(spared.fault_stats().vault_hits, 0);
 }
