@@ -5,9 +5,11 @@
 //! attached, and an enabled tracer — comparing best-of-N wall times.
 //! The disabled tracer is the claimed no-op fast path: its best-of-N
 //! ratio against the baseline is asserted to be under 1.05 in full mode.
-//! The enabled ratio is reported for information. `--smoke` (used by
-//! `scripts/check.sh`) runs a single small repetition and only prints
-//! the ratios — wall-clock assertions are too noisy for shared CI
+//! The enabled ratio is reported for information, and so is the case a
+//! server meets: two threads running the kernel at once into one enabled
+//! tracer, as wall time per run beside the one-thread enabled time.
+//! `--smoke` (used by `scripts/check.sh`) runs a single small repetition
+//! and only prints — wall-clock assertions are too noisy for shared CI
 //! runners.
 //!
 //! ```text
@@ -47,6 +49,28 @@ fn best_of(reps: u32, px: usize, mode: Mode) -> f64 {
     best
 }
 
+/// Best-of-`reps` wall time per run when two threads each run the kernel
+/// once, at the same time, through engines sharing one enabled tracer.
+fn shared_tracer_best_of(reps: u32, px: usize) -> f64 {
+    let mut best = f64::INFINITY;
+    for rep in 0..reps {
+        let tracer = Tracer::new();
+        let t0 = Instant::now();
+        std::thread::scope(|s| {
+            for thread in 0..2 {
+                let tracer = &tracer;
+                s.spawn(move || {
+                    let engine = OffloadEngine::new().with_tracer(tracer);
+                    let mut k = TextureTilingKernel::new(px, px, u64::from(2 * rep + thread));
+                    black_box(engine.run(&mut k, ExecutionMode::PimAcc));
+                });
+            }
+        });
+        best = best.min(t0.elapsed().as_secs_f64() / 2.0);
+    }
+    best
+}
+
 fn main() {
     let smoke = std::env::args().any(|a| a == "--smoke");
     let (reps, px) = if smoke { (3, 128) } else { (20, 512) };
@@ -61,6 +85,13 @@ fn main() {
         off / base,
         on * 1e3,
         on / base
+    );
+    let shared = shared_tracer_best_of(reps, px);
+    println!(
+        "trace_overhead: enabled, 1 thread {:>8.2} ms/run; 2 threads on one tracer {:>8.2} ms/run (x{:.2})",
+        on * 1e3,
+        shared * 1e3,
+        shared / on
     );
     if smoke {
         println!("trace_overhead: smoke mode, ratio not asserted");

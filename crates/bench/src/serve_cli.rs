@@ -173,6 +173,7 @@ pub fn connect_with_retry(addr: &str, name: &str, budget: Duration) -> Result<Cl
 #[cfg(test)]
 mod tests {
     use pim_serve::WaitOutcome;
+    use pim_trace::MetricsReport;
 
     use super::*;
 
@@ -215,6 +216,64 @@ mod tests {
         assert!(r("fleet-shard:7:100", &ctx).is_err(), "missing field");
         assert!(r("fleet-shard:7:x:50", &ctx).is_err(), "non-numeric field");
         assert!(r("fleet-shard:7:100:0", &ctx).is_err(), "empty shard");
+    }
+
+    #[test]
+    fn two_workers_book_exactly_the_serial_metrics() {
+        // Both workers simulate into the server's one tracer, each context
+        // through its own metric shards; the totals must not depend on
+        // how the jobs interleaved.
+        let specs: Vec<String> = (0..20)
+            .map(|i| {
+                let kernel = if i % 2 == 0 { "texture tiling" } else { "color blitting" };
+                format!("kernel-smoke:{kernel}")
+            })
+            .collect();
+        let tracer = Tracer::new();
+        let s = Scheduler::start(
+            ServePolicy { workers: 2, ..ServePolicy::default() },
+            resolver(),
+            tracer.clone(),
+            None,
+        )
+        .unwrap();
+        for (i, spec) in specs.iter().enumerate() {
+            s.submit("test", &format!("job{i}"), spec);
+        }
+        for i in 0..specs.len() {
+            match s.wait(&format!("job{i}"), Some(Duration::from_secs(120))) {
+                WaitOutcome::Done(r) => assert!(r.output.is_some(), "job{i}: {:?}", r.error),
+                other => panic!("job{i}: {other:?}"),
+            }
+        }
+        s.drain();
+        s.join();
+
+        let serial = Tracer::new();
+        let r = resolver();
+        for spec in &specs {
+            let ctx = pim_harness::JobCtx {
+                job_id: "t".into(),
+                attempt: 1,
+                tracer: serial.clone(),
+                track: serial.track("t"),
+                watchdog: pim_core::Watchdog::unlimited(),
+            };
+            r(spec, &ctx).unwrap();
+        }
+        let served = tracer.metrics();
+        assert_eq!(served.counters["serve.attempts"], 20, "one attempt per job");
+        // The simulation's counters and histograms; the scheduler's own
+        // `serve.*` metrics and gauges only exist on the served side.
+        let sim = |mut m: MetricsReport| {
+            m.counters.retain(|k, _| !k.starts_with("serve."));
+            m.histograms.retain(|k, _| !k.starts_with("serve."));
+            m.gauges.clear();
+            m
+        };
+        let want = sim(serial.metrics());
+        assert!(want.counters.get("mem.cpu.accesses").is_some_and(|&n| n > 0));
+        assert_eq!(sim(served), want);
     }
 
     #[test]

@@ -9,7 +9,7 @@ use pim_memsim::{
     line_count, AccessKind, AccessOutcome, Activity, CoherenceModel, MemorySystem, Port, Ps,
     LINE_BYTES,
 };
-use pim_trace::{TrackId, Tracer};
+use pim_trace::{CounterId, HistogramId, MetricsShard, TrackId, Tracer};
 
 use crate::buffer::Buffer;
 use crate::platform::Platform;
@@ -154,6 +154,8 @@ pub struct SimContext {
     error: Option<DmpimError>,
     tracer: Tracer,
     tracks: Option<CtxTracks>,
+    /// This context's own metric slots (a no-op without a tracer).
+    shard: MetricsShard,
     /// Offset added to `now_ps` when stamping trace events, so resilient
     /// drivers can place each attempt on one world timeline.
     base_ps: Ps,
@@ -177,12 +179,15 @@ struct RowTemplate {
     scratch: bool,
 }
 
-/// Track ids this context emits on (resolved once at attach time).
+/// Track and metric ids this context books under, resolved once at
+/// attach time (the engine's again at [`SimContext::switch_engine`]).
 #[derive(Debug, Clone, Copy)]
 struct CtxTracks {
     engine: TrackId,
     phases: TrackId,
     faults: TrackId,
+    stall: HistogramId,
+    ops: CounterId,
 }
 
 impl SimContext {
@@ -216,6 +221,7 @@ impl SimContext {
             error: config_error,
             tracer: Tracer::disabled(),
             tracks: None,
+            shard: MetricsShard::default(),
             base_ps: 0,
         }
     }
@@ -230,10 +236,13 @@ impl SimContext {
                 engine: tracer.track(self.timing.label()),
                 phases: tracer.track("kernel-phases"),
                 faults: tracer.track("faults"),
+                stall: tracer.histogram(stall_metric(self.timing.engine)),
+                ops: tracer.counter(ops_metric(self.timing.engine)),
             });
         } else {
             self.tracks = None;
         }
+        self.shard = tracer.shard();
         self.tracer = tracer.clone();
         self
     }
@@ -427,8 +436,8 @@ impl SimContext {
             let at_ps = self.now_ps;
             self.trip(DmpimError::FaultTransient { kind: FaultKind::BitFlip, at_ps });
         }
-        if self.tracks.is_some() {
-            self.tracer.observe(stall_metric(self.timing.engine), stall);
+        if let Some(tracks) = self.tracks {
+            self.shard.observe(tracks.stall, stall, 1);
         }
         self.now_ps += stall;
         // Attribute the exposed stall across model layers in the same
@@ -607,8 +616,8 @@ impl SimContext {
                 if let Some(plan) = self.faults.as_mut() {
                     plan.note_throttled(t.throttled * full);
                 }
-                if self.tracks.is_some() {
-                    self.tracer.observe_n(stall_metric(self.timing.engine), t.stall, full);
+                if let Some(tracks) = self.tracks {
+                    self.shard.observe(tracks.stall, t.stall, full);
                 }
                 done += full;
             }
@@ -659,8 +668,8 @@ impl SimContext {
         self.now_ps += dur;
         self.cost.compute_ps += dur as f64;
         let engine = self.timing.engine;
-        if self.tracks.is_some() {
-            self.tracer.count(ops_metric(engine), mix.total());
+        if let Some(tracks) = self.tracks {
+            self.shard.count(tracks.ops, mix.total());
         }
         let pj = mix.scalar as f64 * self.params.op_energy_pj(engine, OpClass::Scalar)
             + mix.simd as f64 * self.params.op_energy_pj(engine, OpClass::Simd)
@@ -697,11 +706,10 @@ impl SimContext {
     pub fn switch_engine(&mut self, timing: EngineTiming, port: Port) {
         self.timing = timing;
         self.port = port;
-        if self.tracks.is_some() {
-            let engine = self.tracer.track(timing.label());
-            if let Some(t) = &mut self.tracks {
-                t.engine = engine;
-            }
+        if let Some(t) = &mut self.tracks {
+            t.engine = self.tracer.track(timing.label());
+            t.stall = self.tracer.histogram(stall_metric(timing.engine));
+            t.ops = self.tracer.counter(ops_metric(timing.engine));
         }
     }
 
@@ -970,6 +978,23 @@ mod tests {
         assert!(names.iter().any(|n| n == "tile-start"));
         assert!(t.tracks().iter().any(|n| n == "kernel-phases"));
         assert!(t.metrics().histograms.contains_key("stall_ps.cpu"));
+    }
+
+    #[test]
+    fn switch_engine_books_under_the_new_engine() {
+        let t = Tracer::new();
+        let mut c = SimContext::new(Platform::pim(), EngineTiming::soc_cpu(), Port::Cpu)
+            .with_tracer(&t);
+        c.read(0, 64);
+        c.ops(OpMix::scalar(3));
+        c.switch_engine(EngineTiming::pim_core(), Port::PimCore);
+        c.read(1 << 20, 64);
+        c.read(1 << 21, 64);
+        c.ops(OpMix::scalar(5));
+        let m = t.metrics();
+        let stalls = |engine: &str| m.histograms[&format!("stall_ps.{engine}")].count;
+        assert_eq!((stalls("cpu"), stalls("pim-core")), (1, 2));
+        assert_eq!((m.counters["ops.cpu"], m.counters["ops.pim-core"]), (3, 5));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The assembled memory system: caches in front of a DRAM backend.
 
 use pim_faults::DmpimError;
-use pim_trace::{TrackId, Tracer};
+use pim_trace::{CounterId, HistogramId, MetricsShard, TrackId, Tracer};
 
 use crate::access::{lines_of, AccessKind, Activity, LINE_BYTES};
 use crate::cache::{Cache, CacheStats};
@@ -106,16 +106,64 @@ enum Backend {
     Stacked(StackedMemory),
 }
 
-/// Resolved track ids for a registered tracer. Present only while tracing
-/// is enabled, so the disabled path stays a single `Option` branch.
+/// Per-access counters of a traced walk, CPU port then PIM ports:
+/// accesses, lines, lines that went to memory, private writebacks.
+const ACCESS_COUNTERS: [[&str; 4]; 2] = [
+    ["mem.cpu.accesses", "mem.cpu.lines", "mem.cpu.memory_lines", "cache.cpu.writebacks"],
+    ["mem.pim.accesses", "mem.pim.lines", "mem.pim.memory_lines", "cache.pim.writebacks"],
+];
+
+/// End-to-end access latency histograms, by issuing [`Port`] (in
+/// declaration order) then kind (read, write).
+const LATENCY_HISTOGRAMS: [[&str; 2]; 3] = [
+    ["mem.latency_ps.cpu.read", "mem.latency_ps.cpu.write"],
+    ["mem.latency_ps.pim-core.read", "mem.latency_ps.pim-core.write"],
+    ["mem.latency_ps.pim-accel.read", "mem.latency_ps.pim-accel.write"],
+];
+
+/// Per-line DRAM service latency (array + channel) histograms, by kind.
+const DRAM_LATENCY_HISTOGRAMS: [&str; 2] = ["dram.latency_ps.read", "dram.latency_ps.write"];
+
+/// Track and metric ids resolved once for a registered tracer, and this
+/// system's own metric shard. Present only while tracing is enabled, so
+/// the disabled path stays a single `Option` branch.
 #[derive(Debug, Clone)]
 struct TraceHooks {
     tracer: Tracer,
+    shard: MetricsShard,
     dram: TrackId,
-    vaults: Vec<TrackId>,
-    /// Pre-interned `mem.vault.NN.lines` counter names, one per vault, so
-    /// the per-access hot path never formats a metric name.
-    vault_lines: Vec<String>,
+    /// Per vault: its track and its `mem.vault.NN.lines` counter.
+    vaults: Vec<(TrackId, CounterId)>,
+    access: [[CounterId; 4]; 2],
+    latency: [[HistogramId; 2]; 3],
+    dram_latency: [HistogramId; 2],
+}
+
+impl TraceHooks {
+    /// Book `n` accesses that each had outcome `out` and `writebacks`
+    /// private writebacks: each walk books itself with `n = 1`, and a
+    /// committed streak of `n` all-hit rows books once.
+    fn book_accesses(
+        &self,
+        port: Port,
+        kind: AccessKind,
+        out: &AccessOutcome,
+        writebacks: u64,
+        n: u64,
+    ) {
+        let [accesses, lines, memory_lines, wbs] = self.access[usize::from(port != Port::Cpu)];
+        let s = &self.shard;
+        s.count(accesses, n);
+        s.count(lines, n * out.lines);
+        s.count(memory_lines, n * out.memory_lines);
+        s.count(wbs, n * writebacks);
+        s.observe(self.latency[port as usize][usize::from(kind.is_write())], out.latency_ps, n);
+    }
+
+    /// Book one DRAM line's latency.
+    fn dram_line(&self, kind: AccessKind, latency_ps: Ps) {
+        self.shard.observe(self.dram_latency[usize::from(kind.is_write())], latency_ps, 1);
+    }
 }
 
 fn kind_label(kind: AccessKind) -> &'static str {
@@ -123,53 +171,6 @@ fn kind_label(kind: AccessKind) -> &'static str {
         "write"
     } else {
         "read"
-    }
-}
-
-/// Histogram name for end-to-end access latency, keyed by issuing port
-/// and access kind (static strings keep the disabled/enabled paths
-/// allocation-free).
-fn latency_metric(port: Port, kind: AccessKind) -> &'static str {
-    match (port, kind.is_write()) {
-        (Port::Cpu, false) => "mem.latency_ps.cpu.read",
-        (Port::Cpu, true) => "mem.latency_ps.cpu.write",
-        (Port::PimCore, false) => "mem.latency_ps.pim-core.read",
-        (Port::PimCore, true) => "mem.latency_ps.pim-core.write",
-        (Port::PimAccel, false) => "mem.latency_ps.pim-accel.read",
-        (Port::PimAccel, true) => "mem.latency_ps.pim-accel.write",
-    }
-}
-
-/// Book `n` accesses that each had outcome `out` and `writebacks` private
-/// writebacks: the per-access counters and latency histogram of a traced
-/// walk. The one place these metric names live — each walk books itself
-/// with `n = 1`, and a committed streak of `n` all-hit rows books once.
-fn book_accesses(
-    t: &Tracer,
-    port: Port,
-    kind: AccessKind,
-    out: &AccessOutcome,
-    writebacks: u64,
-    n: u64,
-) {
-    let [accesses, lines, memory_lines, wbs] = if port == Port::Cpu {
-        ["mem.cpu.accesses", "mem.cpu.lines", "mem.cpu.memory_lines", "cache.cpu.writebacks"]
-    } else {
-        ["mem.pim.accesses", "mem.pim.lines", "mem.pim.memory_lines", "cache.pim.writebacks"]
-    };
-    t.count(accesses, n);
-    t.count(lines, n * out.lines);
-    t.count(memory_lines, n * out.memory_lines);
-    t.count(wbs, n * writebacks);
-    t.observe_n(latency_metric(port, kind), out.latency_ps, n);
-}
-
-/// Histogram name for per-line DRAM service latency (array + channel).
-fn dram_metric(kind: AccessKind) -> &'static str {
-    if kind.is_write() {
-        "dram.latency_ps.write"
-    } else {
-        "dram.latency_ps.read"
     }
 }
 
@@ -245,23 +246,35 @@ impl MemorySystem {
     /// Register `tracer` as the sink for memory-level events and metrics.
     ///
     /// Creates one `dram` track for the CPU-side memory path plus one
-    /// track per vault on stacked backends. Passing a disabled tracer
-    /// detaches all hooks, restoring the zero-overhead path.
+    /// track per vault on stacked backends, resolves every metric id the
+    /// walks book under, and takes a metric shard of `tracer` for this
+    /// system. Passing a disabled tracer detaches all hooks, restoring the
+    /// zero-overhead path.
     pub fn set_tracer(&mut self, tracer: &Tracer) {
         if !tracer.enabled() {
             self.hooks = None;
             return;
         }
         let dram = tracer.track("dram");
-        let vaults = match &self.backend {
-            Backend::Stacked(s) => {
-                (0..s.config().vaults).map(|v| tracer.track(&format!("vault {v:02}"))).collect()
-            }
-            Backend::Lpddr3 { .. } => Vec::new(),
+        let vault_count = match &self.backend {
+            Backend::Stacked(s) => s.config().vaults,
+            Backend::Lpddr3 { .. } => 0,
         };
-        let vault_lines =
-            (0..vaults.len()).map(|v| format!("mem.vault.{v:02}.lines")).collect();
-        self.hooks = Some(TraceHooks { tracer: tracer.clone(), dram, vaults, vault_lines });
+        let vaults = (0..vault_count)
+            .map(|v| {
+                let lines = tracer.counter(&format!("mem.vault.{v:02}.lines"));
+                (tracer.track(&format!("vault {v:02}")), lines)
+            })
+            .collect();
+        self.hooks = Some(TraceHooks {
+            tracer: tracer.clone(),
+            shard: tracer.shard(),
+            dram,
+            vaults,
+            access: ACCESS_COUNTERS.map(|names| names.map(|n| tracer.counter(n))),
+            latency: LATENCY_HISTOGRAMS.map(|names| names.map(|n| tracer.histogram(n))),
+            dram_latency: DRAM_LATENCY_HISTOGRAMS.map(|n| tracer.histogram(n)),
+        });
     }
 
     /// The configuration in use.
@@ -389,7 +402,7 @@ impl MemorySystem {
                     lines: lines_per_row,
                     ..AccessOutcome::default()
                 };
-                book_accesses(&h.tracer, port, kind, &row, 0, full);
+                h.book_accesses(port, kind, &row, 0, full);
             }
         }
         RowsOutcome { lines_per_row, full_rows: full, partial_hits: partial }
@@ -522,10 +535,9 @@ impl MemorySystem {
             link_ps: lead_split.link_ps + wait_split.link_ps,
         };
         if let Some(h) = &self.hooks {
-            let t = &h.tracer;
-            book_accesses(t, Port::Cpu, kind, &out, writebacks, 1);
+            h.book_accesses(Port::Cpu, kind, &out, writebacks, 1);
             if out.memory_lines > 0 {
-                t.complete_args(
+                h.tracer.complete_args(
                     h.dram,
                     kind_label(kind),
                     now,
@@ -617,7 +629,7 @@ impl MemorySystem {
                 }
                 writebacks += 1;
                 if let Some(h) = hooks.as_ref() {
-                    h.tracer.observe(dram_metric(AccessKind::Write), o.latency_ps);
+                    h.dram_line(AccessKind::Write, o.latency_ps);
                     note_vault(&mut per_vault, o.vault, o.latency_ps);
                 }
             }
@@ -636,7 +648,7 @@ impl MemorySystem {
                 out.activity.row_misses += 1;
             }
             if let Some(h) = hooks.as_ref() {
-                h.tracer.observe(dram_metric(kind), o.latency_ps);
+                h.dram_line(kind, o.latency_ps);
                 note_vault(&mut per_vault, o.vault, o.latency_ps);
             }
             lead = lead.max(hit_ps);
@@ -665,12 +677,17 @@ impl MemorySystem {
             link_ps: wait_split.link_ps,
         };
         if let Some(h) = hooks.as_ref() {
-            let t = &h.tracer;
-            book_accesses(t, port, kind, &out, writebacks, 1);
+            h.book_accesses(port, kind, &out, writebacks, 1);
             for (v, lines, dur) in per_vault {
-                if let Some(&track) = h.vaults.get(v) {
-                    t.count(h.vault_lines[v].as_str(), lines);
-                    t.complete_args(track, kind_label(kind), now, dur, vec![("lines", lines.into())]);
+                if let Some(&(track, vault_lines)) = h.vaults.get(v) {
+                    h.shard.count(vault_lines, lines);
+                    h.tracer.complete_args(
+                        track,
+                        kind_label(kind),
+                        now,
+                        dur,
+                        vec![("lines", lines.into())],
+                    );
                 }
             }
         }
@@ -701,7 +718,7 @@ impl MemorySystem {
             }
         };
         if let Some(h) = &self.hooks {
-            h.tracer.observe(dram_metric(AccessKind::Write), lat);
+            h.dram_line(AccessKind::Write, lat);
         }
     }
 
@@ -736,7 +753,7 @@ impl MemorySystem {
             }
         };
         if let Some(h) = &self.hooks {
-            h.tracer.observe(dram_metric(AccessKind::Read), out.0);
+            h.dram_line(AccessKind::Read, out.0);
         }
         out
     }
@@ -959,6 +976,27 @@ mod tests {
         assert!(rep.histograms.contains_key("dram.latency_ps.read"));
         assert!(rep.counters["mem.pim.lines"] >= 64);
         assert!(rep.counters.keys().any(|k| k.starts_with("mem.vault.")));
+    }
+
+    #[test]
+    fn traced_metrics_land_on_their_port_kind_and_vault() {
+        let t = Tracer::new();
+        let mut m = pim();
+        m.set_tracer(&t);
+        let addr = 5 * 2048;
+        let vault = m.vault_of(addr).unwrap();
+        assert_ne!(vault, 0);
+        m.access_from(Port::PimAccel, addr, 64, AccessKind::Write, 0).unwrap();
+        m.access(1 << 24, 64, AccessKind::Read, 0);
+        let rep = t.metrics();
+        let count = |name: &str| rep.histograms.get(name).map_or(0, |h| h.count);
+        assert_eq!(count("mem.latency_ps.pim-accel.write"), 1);
+        assert_eq!(count("mem.latency_ps.cpu.read"), 1);
+        assert_eq!(count("mem.latency_ps.pim-accel.read") + count("mem.latency_ps.cpu.write"), 0);
+        assert_eq!((count("dram.latency_ps.write"), count("dram.latency_ps.read")), (1, 1));
+        let vault_lines: Vec<_> =
+            rep.counters.iter().filter(|(k, _)| k.starts_with("mem.vault.")).collect();
+        assert_eq!(vault_lines, [(&format!("mem.vault.{vault:02}.lines"), &1)]);
     }
 
     #[test]

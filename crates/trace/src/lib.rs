@@ -20,6 +20,10 @@
 //!   for kernel phases, and for injected faults — which export as named
 //!   threads so Perfetto / `chrome://tracing` lays the run out as a swim-
 //!   lane diagram.
+//! * Metric names are interned too ([`CounterId`], [`HistogramId`]). Hot
+//!   writers book by id through their own [`MetricsShard`]
+//!   ([`Tracer::shard`]), so threads simulating into one tracer do not
+//!   contend for metrics; snapshots add the shards up exactly.
 //! * Exporters are hand-rolled (the workspace has a no-external-deps
 //!   rule): [`chrome::chrome_trace_json`] emits the Chrome trace-event
 //!   format, [`json::JsonValue`] is the tiny JSON writer every
@@ -53,7 +57,9 @@ pub mod tracer;
 
 pub use event::{ArgValue, EventKind, TraceEvent, TrackId};
 pub use json::{JsonParseError, JsonValue};
-pub use metrics::{Histogram, HistogramSnapshot, MetricsRegistry, MetricsReport};
+pub use metrics::{
+    CounterId, Histogram, HistogramId, HistogramSnapshot, MetricsReport, MetricsShard,
+};
 pub use tracer::Tracer;
 
 /// Picosecond timestamp in the *simulated* clock domain.

@@ -6,7 +6,9 @@ use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::chrome;
 use crate::event::{ArgValue, EventKind, TraceEvent, TrackId};
-use crate::metrics::{MetricsRegistry, MetricsReport};
+use crate::metrics::{
+    CounterId, HistogramId, MetricsRegistry, MetricsReport, MetricsShard, DEFAULT_BOUNDS,
+};
 use crate::Ps;
 
 /// Hard ceiling on buffered events; beyond it events are counted as
@@ -15,10 +17,36 @@ use crate::Ps;
 /// silently).
 const DEFAULT_MAX_EVENTS: usize = 4_000_000;
 
+/// Tracks get ids `0..MAX_TRACKS`; the next id is [`TrackId::NONE`].
+const MAX_TRACKS: usize = u16::MAX as usize;
+
+/// An interning table: each distinct name gets the next id, in
+/// registration order.
+#[derive(Debug, Default)]
+pub(crate) struct Names {
+    pub(crate) list: Vec<String>,
+    ids: BTreeMap<String, u32>,
+}
+
+impl Names {
+    fn get(&self, name: &str) -> Option<u32> {
+        self.ids.get(name).copied()
+    }
+
+    pub(crate) fn intern(&mut self, name: &str) -> u32 {
+        if let Some(id) = self.get(name) {
+            return id;
+        }
+        let id = self.list.len() as u32;
+        self.list.push(name.to_string());
+        self.ids.insert(name.to_string(), id);
+        id
+    }
+}
+
 #[derive(Debug, Default)]
 struct Inner {
-    tracks: Vec<String>,
-    track_ids: BTreeMap<String, u16>,
+    tracks: Names,
     events: Vec<TraceEvent>,
     max_events: usize,
     dropped: u64,
@@ -73,34 +101,34 @@ impl Tracer {
     }
 
     /// Intern `name` as a track, returning its id. Repeated calls with
-    /// the same name return the same id. Disabled tracers return
-    /// [`TrackId::NONE`].
+    /// the same name return the same id. Disabled tracers, and enabled
+    /// ones that already hold 65,535 tracks, return [`TrackId::NONE`]
+    /// without registering anything.
     pub fn track(&self, name: &str) -> TrackId {
         let Some(mut inner) = self.lock() else {
             return TrackId::NONE;
         };
-        if let Some(&id) = inner.track_ids.get(name) {
-            return TrackId(id);
+        match inner.tracks.get(name) {
+            Some(id) => TrackId(id as u16),
+            None if inner.tracks.list.len() < MAX_TRACKS => {
+                TrackId(inner.tracks.intern(name) as u16)
+            }
+            None => TrackId::NONE,
         }
-        let id = inner.tracks.len().min(u16::MAX as usize - 1) as u16;
-        inner.tracks.push(name.to_string());
-        inner.track_ids.insert(name.to_string(), id);
-        TrackId(id)
     }
 
     /// Names of all registered tracks, in registration order.
     pub fn tracks(&self) -> Vec<String> {
-        self.lock().map(|i| i.tracks.clone()).unwrap_or_default()
+        self.lock().map(|i| i.tracks.list.clone()).unwrap_or_default()
     }
 
+    /// Buffer `ev`, or count it as dropped when it is on
+    /// [`TrackId::NONE`] or the buffer is full.
     fn emit(&self, ev: TraceEvent) {
         let Some(mut inner) = self.lock() else {
             return;
         };
-        if ev.track == TrackId::NONE {
-            return;
-        }
-        if inner.events.len() >= inner.max_events {
+        if ev.track == TrackId::NONE || inner.events.len() >= inner.max_events {
             inner.dropped += 1;
             return;
         }
@@ -170,6 +198,33 @@ impl Tracer {
         self.emit(TraceEvent { track, name: name.into(), ts_ps, kind: EventKind::Instant, args });
     }
 
+    /// Intern `name` as a counter, returning the id that
+    /// [`MetricsShard::count`] books under. The name appears in snapshots
+    /// from its first update on. Disabled tracers return a placeholder
+    /// that only their (no-op) shards are meant to receive.
+    pub fn counter(&self, name: &str) -> CounterId {
+        self.lock().map(|mut i| i.metrics.counter(name)).unwrap_or_default()
+    }
+
+    /// Intern `name` as a histogram, returning the id that
+    /// [`MetricsShard::observe`] books under. A new name gets
+    /// [`DEFAULT_BOUNDS`] unless [`Tracer::register_histogram`] named it
+    /// first. Disabled tracers return a placeholder, as for
+    /// [`Tracer::counter`].
+    pub fn histogram(&self, name: &str) -> HistogramId {
+        self.lock().map(|mut i| i.metrics.histogram(name, &DEFAULT_BOUNDS)).unwrap_or_default()
+    }
+
+    /// A writer's private metric slots (see [`MetricsShard`]): updates
+    /// through it take only its own lock, and every [`Tracer::metrics`]
+    /// snapshot includes it. The tracer folds each shard into its base
+    /// slots once the writer drops it (checked here and in
+    /// [`Tracer::metrics`]), so it holds only live shards. A disabled
+    /// tracer returns a shard that records nothing.
+    pub fn shard(&self) -> MetricsShard {
+        self.lock().map(|mut i| i.metrics.shard()).unwrap_or_default()
+    }
+
     /// Add `delta` to counter `name`.
     pub fn count(&self, name: &str, delta: u64) {
         if let Some(mut inner) = self.lock() {
@@ -210,27 +265,26 @@ impl Tracer {
 
     /// Record `value` into histogram `name`.
     pub fn observe(&self, name: &str, value: u64) {
-        self.observe_n(name, value, 1);
-    }
-
-    /// Record `n` observations of `value` into histogram `name` under one
-    /// lock: the same metrics as `n` calls to [`Tracer::observe`].
-    pub fn observe_n(&self, name: &str, value: u64, n: u64) {
         if let Some(mut inner) = self.lock() {
-            inner.metrics.observe_n(name, value, n);
+            inner.metrics.observe(name, value);
         }
     }
 
-    /// Create (or reset) histogram `name` with explicit bucket bounds.
-    pub fn register_histogram(&self, name: &str, bounds: &[u64]) {
+    /// Declare histogram `name` with explicit bucket bounds: it appears
+    /// in snapshots from now on, empty until observed. A name's bounds are
+    /// fixed when it is first interned, so this must come before any
+    /// other use of the name for `bounds` to apply.
+    pub fn register_histogram(&self, name: &str, bounds: &'static [u64]) {
         if let Some(mut inner) = self.lock() {
             inner.metrics.register_histogram(name, bounds);
         }
     }
 
-    /// Snapshot of all metrics (empty for a disabled tracer).
+    /// Snapshot of all metrics: the base slots plus every live shard
+    /// (empty for a disabled tracer). Lock order: the tracer's lock, then
+    /// each shard's in turn; writers only ever take their own shard's.
     pub fn metrics(&self) -> MetricsReport {
-        self.lock().map(|i| i.metrics.snapshot()).unwrap_or_default()
+        self.lock().map(|mut i| i.metrics.snapshot()).unwrap_or_default()
     }
 
     /// A copy of the buffered events (empty for a disabled tracer).
@@ -253,7 +307,9 @@ impl Tracer {
     /// a disabled tracer.
     pub fn chrome_trace(&self) -> String {
         match self.lock() {
-            Some(inner) => chrome::chrome_trace_json(&inner.tracks, &inner.events, inner.dropped),
+            Some(inner) => {
+                chrome::chrome_trace_json(&inner.tracks.list, &inner.events, inner.dropped)
+            }
             None => chrome::chrome_trace_json(&[], &[], 0),
         }
     }
@@ -339,5 +395,21 @@ mod tests {
         let t = Tracer::new();
         t.complete(TrackId::NONE, "ghost", 0, 1);
         assert_eq!(t.event_count(), 0);
+        assert_eq!(t.dropped_events(), 1);
+    }
+
+    #[test]
+    fn track_table_stops_at_the_id_space() {
+        let t = Tracer::new();
+        let mut last = TrackId(0);
+        for i in 0..65_537 {
+            last = t.track(&format!("job:{i}"));
+        }
+        assert_eq!(t.tracks().len(), 65_535);
+        assert_eq!(last, TrackId::NONE);
+        assert_eq!(t.track("job:65534"), TrackId(65_534));
+        t.instant(last, "attempt-finished", 0);
+        assert_eq!((t.event_count(), t.dropped_events()), (0, 1));
+        assert_eq!(t.chrome_trace().matches("\"thread_name\"").count(), 65_535);
     }
 }

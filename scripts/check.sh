@@ -22,7 +22,14 @@ echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> trace-overhead bench (smoke)"
-cargo bench -q -p pim-bench --bench trace_overhead -- --smoke
+# Prints the disabled/enabled tracer overhead and the case a server meets:
+# two threads running the kernel at once into one enabled tracer, as wall
+# time per run beside the one-thread enabled time. Print-only; the line
+# must be there.
+trace_out=$(cargo bench -q -p pim-bench --bench trace_overhead -- --smoke)
+echo "$trace_out"
+echo "$trace_out" | grep -q "2 threads on one tracer" \
+    || { echo "trace_overhead bench: two-thread shared-tracer case missing"; exit 1; }
 
 echo "==> profiler-overhead bench (smoke)"
 cargo bench -q -p pim-bench --bench profiler_overhead -- --smoke
