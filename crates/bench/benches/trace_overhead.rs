@@ -1,13 +1,14 @@
 //! Wall-clock overhead of the tracing layer.
 //!
-//! Runs the same kernel through the offload engine in three modes —
+//! Runs the same kernel through the offload engine in four modes —
 //! no tracer attached (the pre-tracing baseline), a disabled tracer
-//! attached, and an enabled tracer — comparing best-of-N wall times.
-//! The disabled tracer is the claimed no-op fast path: its best-of-N
-//! ratio against the baseline is asserted to be under 1.05 in full mode.
-//! The enabled ratio is reported for information, and so is the case a
-//! server meets: two threads running the kernel at once into one enabled
-//! tracer, as wall time per run beside the one-thread enabled time.
+//! attached, a metrics-only tracer (the server's), and a tracer that
+//! also records events — comparing best-of-N wall times. The disabled
+//! tracer is the claimed no-op fast path: its best-of-N ratio against
+//! the baseline is asserted to be under 1.05 in full mode. The other
+//! ratios are reported for information, and so is the case a server
+//! meets: two threads running the kernel at once into one metrics-only
+//! tracer, as wall time per run beside the one-thread metrics-only time.
 //! `--smoke` (used by `scripts/check.sh`) runs a single small repetition
 //! and only prints — wall-clock assertions are too noisy for shared CI
 //! runners.
@@ -27,6 +28,7 @@ use pim_core::{ExecutionMode, OffloadEngine, Tracer};
 enum Mode {
     Baseline,
     Disabled,
+    MetricsOnly,
     Enabled,
 }
 
@@ -39,6 +41,7 @@ fn best_of(reps: u32, px: usize, mode: Mode) -> f64 {
         let engine = match mode {
             Mode::Baseline => OffloadEngine::new(),
             Mode::Disabled => OffloadEngine::new().with_tracer(&Tracer::disabled()),
+            Mode::MetricsOnly => OffloadEngine::new().with_tracer(&Tracer::metrics_only()),
             Mode::Enabled => OffloadEngine::new().with_tracer(&Tracer::new()),
         };
         let mut k = TextureTilingKernel::new(px, px, u64::from(rep));
@@ -50,11 +53,12 @@ fn best_of(reps: u32, px: usize, mode: Mode) -> f64 {
 }
 
 /// Best-of-`reps` wall time per run when two threads each run the kernel
-/// once, at the same time, through engines sharing one enabled tracer.
+/// once, at the same time, through engines sharing one metrics-only
+/// tracer, as two server workers do.
 fn shared_tracer_best_of(reps: u32, px: usize) -> f64 {
     let mut best = f64::INFINITY;
     for rep in 0..reps {
-        let tracer = Tracer::new();
+        let tracer = Tracer::metrics_only();
         let t0 = Instant::now();
         std::thread::scope(|s| {
             for thread in 0..2 {
@@ -77,6 +81,7 @@ fn main() {
     black_box(best_of(2, px, Mode::Baseline)); // warmup
     let base = best_of(reps, px, Mode::Baseline);
     let off = best_of(reps, px, Mode::Disabled);
+    let metrics = best_of(reps, px, Mode::MetricsOnly);
     let on = best_of(reps, px, Mode::Enabled);
     println!(
         "trace_overhead: baseline {:>8.2} ms, disabled-tracer {:>8.2} ms (x{:.4}), enabled {:>8.2} ms (x{:.2})",
@@ -86,12 +91,17 @@ fn main() {
         on * 1e3,
         on / base
     );
+    println!(
+        "trace_overhead: metrics-only tracer {:>8.2} ms (x{:.2})",
+        metrics * 1e3,
+        metrics / base
+    );
     let shared = shared_tracer_best_of(reps, px);
     println!(
-        "trace_overhead: enabled, 1 thread {:>8.2} ms/run; 2 threads on one tracer {:>8.2} ms/run (x{:.2})",
-        on * 1e3,
+        "trace_overhead: metrics-only, 1 thread {:>8.2} ms/run; 2 threads on one tracer {:>8.2} ms/run (x{:.2})",
+        metrics * 1e3,
         shared * 1e3,
-        shared / on
+        shared / metrics
     );
     if smoke {
         println!("trace_overhead: smoke mode, ratio not asserted");

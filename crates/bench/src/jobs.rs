@@ -403,6 +403,37 @@ mod tests {
     use super::*;
 
     #[test]
+    fn metrics_only_tracer_books_exactly_the_full_tracers_metrics() {
+        // The smoke catalog in every mode under the 0.5-rate fault plan,
+        // and under a plan whose failed vaults force a fallback.
+        use pim_core::FaultConfig;
+        let fail_vaults =
+            FaultConfig { vault_fail_prob: 1.0, horizon_ps: 1, ..FaultConfig::none() };
+        let plans = [(FaultConfig::with_rate(0.5), 7), (fail_vaults, 9)];
+        let run = |tracer: &Tracer| {
+            for (_, _, factory) in kernel_catalog(true) {
+                for mode in ExecutionMode::ALL {
+                    for (config, seed) in plans {
+                        let engine = OffloadEngine::new().with_faults(config, seed);
+                        engine.with_tracer(tracer).run(&mut *factory(), mode);
+                    }
+                }
+            }
+        };
+        let (full, only) = (Tracer::new(), Tracer::metrics_only());
+        run(&full);
+        run(&only);
+        let m = only.metrics();
+        // Booked beside events on a full tracer; each must be exercised.
+        for name in ["offload.fallbacks", "offload.retries", "faults.tripped"] {
+            assert!(m.counters.get(name).is_some_and(|&n| n > 0), "{name}: {:?}", m.counters);
+        }
+        assert_eq!(m, full.metrics());
+        assert_eq!((only.event_count(), only.tracks().len(), only.dropped_events()), (0, 0, 0));
+        assert_eq!(only.chrome_trace(), Tracer::disabled().chrome_trace());
+    }
+
+    #[test]
     fn catalog_covers_all_nine_targets_at_paper_scale() {
         assert_eq!(kernel_catalog(false).len(), 9);
         assert_eq!(kernel_catalog(true).len(), 2);

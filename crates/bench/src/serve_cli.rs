@@ -78,6 +78,13 @@ pub struct ServeOptions {
     pub fsync: FsyncPolicy,
 }
 
+/// The server's tracer: metrics for the `metrics` op and the HTTP
+/// `/metrics` endpoint, and no event log, since nothing exports a served
+/// trace (a long session would otherwise buffer every job's events).
+fn server_tracer() -> Tracer {
+    Tracer::metrics_only()
+}
+
 /// Run the service until a drain completes (SIGTERM/ctrl-c or a client
 /// `shutdown` op) or a hard stop.
 pub fn run_server(opts: &ServeOptions) -> Result<(), ServeError> {
@@ -91,7 +98,7 @@ pub fn run_server(opts: &ServeOptions) -> Result<(), ServeError> {
         fsync: opts.fsync,
         ..ServePolicy::default()
     };
-    let tracer = Tracer::new();
+    let tracer = server_tracer();
     let scheduler = Arc::new(Scheduler::start(
         policy,
         resolver(),
@@ -274,6 +281,51 @@ mod tests {
         let want = sim(serial.metrics());
         assert!(want.counters.get("mem.cpu.accesses").is_some_and(|&n| n > 0));
         assert_eq!(sim(served), want);
+    }
+
+    #[test]
+    fn a_server_session_leaves_no_per_job_trace_state() {
+        // A long session on the server's tracer must not grow an event
+        // buffer or a track table, and once both kernels have run it
+        // books under no new metric names. One worker, so no steal can
+        // add `serve.steals` to the names mid-session.
+        let tracer = server_tracer();
+        let unlimited = QuotaPolicy { max_in_flight_per_client: 0, max_queue_depth: 0 };
+        let s = Scheduler::start(
+            ServePolicy { workers: 1, quota: unlimited, ..ServePolicy::default() },
+            resolver(),
+            tracer.clone(),
+            None,
+        )
+        .unwrap();
+        let run = |jobs: std::ops::Range<usize>| {
+            for i in jobs.clone() {
+                let kernel = if i % 2 == 0 { "texture tiling" } else { "color blitting" };
+                s.submit("test", &format!("job{i}"), &format!("kernel-smoke:{kernel}"));
+            }
+            for i in jobs {
+                match s.wait(&format!("job{i}"), Some(Duration::from_secs(120))) {
+                    WaitOutcome::Done(r) => assert!(r.output.is_some(), "job{i}: {:?}", r.error),
+                    other => panic!("job{i}: {other:?}"),
+                }
+            }
+        };
+        let names = || {
+            let m = tracer.metrics();
+            let mut names: Vec<String> = m.counters.into_keys().collect();
+            names.extend(m.gauges.into_keys());
+            names.extend(m.histograms.into_keys());
+            names
+        };
+        run(0..100);
+        let after_100 = names();
+        run(100..1_000);
+        s.drain();
+        s.join();
+        assert_eq!((tracer.event_count(), tracer.dropped_events()), (0, 0));
+        assert!(tracer.tracks().is_empty(), "{:?}", tracer.tracks());
+        assert_eq!(names(), after_100);
+        assert_eq!(tracer.metrics().counters["serve.completed"], 1_000);
     }
 
     #[test]

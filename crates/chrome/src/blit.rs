@@ -123,7 +123,7 @@ impl ColorBlittingKernel {
                     1 => BlitOp::Copy,
                     _ => BlitOp::Blend,
                 };
-                if ctx.tracer().enabled() {
+                if ctx.tracer().events_enabled() {
                     let kind = match op {
                         BlitOp::Fill(_) => "fill",
                         BlitOp::Copy => "copy",

@@ -106,7 +106,7 @@ impl TextureTilingKernel {
         let tiles_x = w / TILE_PX;
         ctx.scoped("texture_tiling", |ctx| {
             for ty in 0..h / TILE_PX {
-                if ctx.tracer().enabled() {
+                if ctx.tracer().events_enabled() {
                     ctx.mark(format!("tile-row {ty}"));
                 }
                 for tx in 0..tiles_x {

@@ -181,6 +181,7 @@ struct RowTemplate {
 
 /// Track and metric ids this context books under, resolved once at
 /// attach time (the engine's again at [`SimContext::switch_engine`]).
+/// The track ids are [`TrackId::NONE`] on a metrics-only tracer.
 #[derive(Debug, Clone, Copy)]
 struct CtxTracks {
     engine: TrackId,
@@ -231,7 +232,7 @@ impl SimContext {
     /// hooks (including the memory system's), restoring the no-op path.
     pub fn with_tracer(mut self, tracer: &Tracer) -> Self {
         self.mem.set_tracer(tracer);
-        if tracer.enabled() {
+        if tracer.metrics_enabled() {
             self.tracks = Some(CtxTracks {
                 engine: tracer.track(self.timing.label()),
                 phases: tracer.track("kernel-phases"),
@@ -721,7 +722,7 @@ impl SimContext {
         if self.error.is_some() {
             return;
         }
-        if let Some(tracks) = self.tracks {
+        if let Some(tracks) = self.tracks.filter(|_| self.tracer.events_enabled()) {
             let name = if begin { "offload-begin" } else { "offload-end" };
             self.tracer.instant_args(
                 tracks.engine,

@@ -397,7 +397,7 @@ impl OffloadEngine {
         if mode != ExecutionMode::CpuOnly {
             ctx.offload_transition(kernel.working_set_bytes(), false);
         }
-        if self.tracer.enabled() {
+        if self.tracer.events_enabled() {
             let track = self.tracer.track(ctx.timing().label());
             self.tracer.complete_args(
                 track,
@@ -506,24 +506,21 @@ impl OffloadEngine {
             })
         };
 
-        let recovery = if self.tracer.enabled() {
-            Some(self.tracer.track("recovery"))
-        } else {
-            None
-        };
+        let recovery = self.tracer.track("recovery");
+        let events = self.tracer.events_enabled();
         let mut final_ctx: Option<(ExecutionMode, SimContext)> = None;
         'modes: for (i, &m) in chain.iter().enumerate() {
             if i > 0 {
                 degradation.fallbacks += 1;
-                if let Some(track) = recovery {
+                if events {
                     self.tracer.instant_args(
-                        track,
+                        recovery,
                         "fallback",
                         world_ps,
                         vec![("to", m.label().into())],
                     );
-                    self.tracer.count("offload.fallbacks", 1);
                 }
+                self.tracer.count("offload.fallbacks", 1);
             }
             let mut retries_here = 0u32;
             loop {
@@ -561,9 +558,9 @@ impl OffloadEngine {
                             retries_here += 1;
                             degradation.retries += 1;
                             let backoff = self.policy.backoff_for(retries_here);
-                            if let Some(track) = recovery {
+                            if events {
                                 self.tracer.complete_args(
-                                    track,
+                                    recovery,
                                     "backoff",
                                     world_ps,
                                     backoff,
@@ -572,8 +569,8 @@ impl OffloadEngine {
                                         ("mode", m.label().into()),
                                     ],
                                 );
-                                self.tracer.count("offload.retries", 1);
                             }
+                            self.tracer.count("offload.retries", 1);
                             degradation.backoff_ps += backoff;
                             world_ps += backoff;
                             continue;

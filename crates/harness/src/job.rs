@@ -64,10 +64,13 @@ pub struct JobCtx {
     pub job_id: String,
     /// 1-based attempt number (2+ means this is a retry).
     pub attempt: u32,
-    /// Shared tracer; a no-op when the harness runs untraced.
+    /// Shared tracer; a no-op when the harness runs untraced, and
+    /// metrics-only under `pim-serve`.
     pub tracer: Tracer,
     /// A track dedicated to this job (`job:<id>`) so its spans do not
-    /// interleave with sibling jobs on shared tracks.
+    /// interleave with sibling jobs on shared tracks. [`TrackId::NONE`]
+    /// when the tracer keeps no event log, as under `pim-serve`, which
+    /// registers no per-job track.
     pub track: TrackId,
     /// Simulated-time watchdog the job should arm on its contexts so hung
     /// simulations trip [`DmpimError::WatchdogTimeout`] instead of

@@ -246,12 +246,13 @@ impl MemorySystem {
     /// Register `tracer` as the sink for memory-level events and metrics.
     ///
     /// Creates one `dram` track for the CPU-side memory path plus one
-    /// track per vault on stacked backends, resolves every metric id the
+    /// track per vault on stacked backends (a metrics-only tracer hands
+    /// out [`TrackId::NONE`] for each), resolves every metric id the
     /// walks book under, and takes a metric shard of `tracer` for this
     /// system. Passing a disabled tracer detaches all hooks, restoring the
     /// zero-overhead path.
     pub fn set_tracer(&mut self, tracer: &Tracer) {
-        if !tracer.enabled() {
+        if !tracer.metrics_enabled() {
             self.hooks = None;
             return;
         }
@@ -536,7 +537,7 @@ impl MemorySystem {
         };
         if let Some(h) = &self.hooks {
             h.book_accesses(Port::Cpu, kind, &out, writebacks, 1);
-            if out.memory_lines > 0 {
+            if out.memory_lines > 0 && h.tracer.events_enabled() {
                 h.tracer.complete_args(
                     h.dram,
                     kind_label(kind),
@@ -681,13 +682,15 @@ impl MemorySystem {
             for (v, lines, dur) in per_vault {
                 if let Some(&(track, vault_lines)) = h.vaults.get(v) {
                     h.shard.count(vault_lines, lines);
-                    h.tracer.complete_args(
-                        track,
-                        kind_label(kind),
-                        now,
-                        dur,
-                        vec![("lines", lines.into())],
-                    );
+                    if h.tracer.events_enabled() {
+                        h.tracer.complete_args(
+                            track,
+                            kind_label(kind),
+                            now,
+                            dur,
+                            vec![("lines", lines.into())],
+                        );
+                    }
                 }
             }
         }

@@ -35,7 +35,7 @@ use std::time::{Duration, Instant};
 
 use pim_faults::{DmpimError, Watchdog};
 use pim_harness::{FsyncPolicy, JobCtx, JobFailure, JobResult, JobStatus};
-use pim_trace::Tracer;
+use pim_trace::{TrackId, Tracer};
 
 use crate::deque::{Injector, Priority, Task, WsDeque};
 use crate::protocol::{Reject, RejectKind, Stats};
@@ -661,16 +661,16 @@ fn worker_loop(
         if !core.attempt_current(task) {
             continue; // written off or finished while queued
         }
+        core.tracer.gauge_add("serve.queue_depth", -1.0);
         let Some((job_id, spec)) = core.job_spec(task) else { continue };
         if tx.send(Msg::Started { worker: id, task }).is_err() {
             break; // supervisor gone
         }
-        let track = core.tracer.track(&format!("job:{job_id}"));
         let ctx = JobCtx {
             job_id,
             attempt: task.attempt,
             tracer: core.tracer.clone(),
-            track,
+            track: TrackId::NONE,
             watchdog: core.policy.watchdog,
         };
         let resolver = Arc::clone(&core.resolver);
@@ -680,23 +680,9 @@ fn worker_loop(
             Ok(Err(e)) => Err(JobFailure::Sim(e)),
             Err(panic) => Err(JobFailure::Panicked { message: panic_message(&*panic) }),
         };
-        // Per-attempt progress metrics (host wall time; the trace instant
-        // stitches the attempt outcome into the job's Perfetto track).
-        let wall_ms = t0.elapsed().as_millis() as u64;
+        // Per-attempt progress metrics (host wall time).
         core.tracer.count("serve.attempts", 1);
-        core.tracer.observe("serve.job_wall_ms", wall_ms);
-        if core.tracer.enabled() {
-            core.tracer.instant_args(
-                track,
-                "attempt-finished",
-                0,
-                vec![
-                    ("attempt", pim_trace::ArgValue::U64(task.attempt as u64)),
-                    ("wall_ms", pim_trace::ArgValue::U64(wall_ms)),
-                    ("ok", pim_trace::ArgValue::U64(u64::from(outcome.is_ok()))),
-                ],
-            );
-        }
+        core.tracer.observe("serve.job_wall_ms", t0.elapsed().as_millis() as u64);
         if tx.send(Msg::Done { task, outcome }).is_err() {
             break;
         }
@@ -885,6 +871,7 @@ fn handle_done(
                     let next = Task { job: task.job, attempt: e.attempt };
                     core.counters.retries.fetch_add(1, Ordering::Relaxed);
                     core.tracer.count("serve.retries", 1);
+                    core.tracer.gauge_add("serve.queue_depth", 1.0);
                     delayed.push((Instant::now() + delay, next, e.priority));
                     return;
                 }
@@ -907,7 +894,6 @@ fn handle_done(
     drop(st);
     core.tracer.count("serve.completed", 1);
     core.tracer.gauge_add("serve.in_flight", -1.0);
-    core.tracer.gauge_add("serve.queue_depth", -1.0);
     core.done_cv.notify_all();
 }
 
@@ -1105,6 +1091,45 @@ mod tests {
         assert!(s.stats().retries >= 2);
         s.drain();
         s.join();
+    }
+
+    #[test]
+    fn queue_depth_counts_only_jobs_no_worker_has_started() {
+        // One worker whose resolver reports each start, then blocks until
+        // released, so the gauges can be read while the first job runs.
+        let (started_tx, started_rx) = std::sync::mpsc::channel();
+        let (release_tx, release_rx) = std::sync::mpsc::channel::<()>();
+        let (started_tx, release_rx) = (Mutex::new(started_tx), Mutex::new(release_rx));
+        let resolver: Resolver = Arc::new(move |spec: &str, ctx| {
+            started_tx.lock().unwrap().send(()).unwrap();
+            release_rx.lock().unwrap().recv().unwrap();
+            if spec == "flaky" && ctx.attempt == 1 {
+                return Err(DmpimError::FaultTransient {
+                    kind: pim_faults::FaultKind::BitFlip,
+                    at_ps: 7,
+                });
+            }
+            Ok(spec.to_string())
+        });
+        let tracer = Tracer::metrics_only();
+        let policy = ServePolicy { workers: 1, ..quick_policy() };
+        let s = Scheduler::start(policy, resolver, tracer.clone(), None).unwrap();
+        for (id, spec) in [("a", "fine"), ("b", "fine"), ("c", "flaky")] {
+            s.submit("c1", id, spec);
+        }
+        started_rx.recv_timeout(Duration::from_secs(10)).unwrap();
+        let gauges = || {
+            (tracer.gauge_value("serve.queue_depth"), tracer.gauge_value("serve.in_flight"))
+        };
+        assert_eq!(gauges(), (2.0, 3.0), "the running job is in flight, not queued");
+        // Three first attempts and the flaky job's retry.
+        for _ in 0..4 {
+            release_tx.send(()).unwrap();
+        }
+        s.drain();
+        s.join();
+        assert_eq!(s.stats().retries, 1);
+        assert_eq!(gauges(), (0.0, 0.0));
     }
 
     #[test]

@@ -161,7 +161,7 @@ impl Kernel for PackingKernel {
         let shapes = self.shapes.clone();
         ctx.scoped("packing", |ctx| {
             for (m, k, n) in shapes {
-                if ctx.tracer().enabled() {
+                if ctx.tracer().events_enabled() {
                     ctx.mark(format!("pack {m}x{k}x{n}"));
                 }
                 pack_tracked(ctx, m, k, n, 128);

@@ -129,7 +129,7 @@ impl Kernel for QuantizationKernel {
         let shapes = self.shapes.clone();
         ctx.scoped("quantization", |ctx| {
             for (i, &(r, c)) in shapes.iter().enumerate() {
-                if ctx.tracer().enabled() {
+                if ctx.tracer().events_enabled() {
                     ctx.mark(format!("quantize {r}x{c}"));
                 }
                 // Real conversion on synthetic data...

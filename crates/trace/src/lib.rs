@@ -16,6 +16,12 @@
 //!   also `Default`) is a `None` inside — every emit call returns before
 //!   touching the heap, so instrumented code costs nothing when tracing
 //!   is off (a wall-clock bench in `pim-bench` keeps this honest).
+//! * An enabled tracer has two parts: an event log and metrics.
+//!   [`Tracer::new`] keeps both; [`Tracer::metrics_only`] keeps metrics
+//!   alone, so a long-running server books counters without buffering a
+//!   timeline nobody exports. Emitters check [`Tracer::events_enabled`]
+//!   before building an event and [`Tracer::metrics_enabled`] before
+//!   resolving metric ids.
 //! * Events live on **tracks** ([`TrackId`]) — one per engine, per vault,
 //!   for kernel phases, and for injected faults — which export as named
 //!   threads so Perfetto / `chrome://tracing` lays the run out as a swim-

@@ -248,10 +248,10 @@ impl Slots {
     }
 }
 
-/// Lock a shard's slots. A poisoned lock only means a writer panicked;
-/// every update is a single call, so the slots are still consistent.
-fn lock(slots: &Mutex<Slots>) -> MutexGuard<'_, Slots> {
-    slots.lock().unwrap_or_else(PoisonError::into_inner)
+/// Lock `m`. A poisoned lock only means a holder panicked; every update
+/// is a single call, so the state is still consistent.
+pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// A writer's private metric slots, from [`crate::Tracer::shard`].

@@ -7,7 +7,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use crate::chrome;
 use crate::event::{ArgValue, EventKind, TraceEvent, TrackId};
 use crate::metrics::{
-    CounterId, HistogramId, MetricsRegistry, MetricsReport, MetricsShard, DEFAULT_BOUNDS,
+    lock, CounterId, HistogramId, MetricsRegistry, MetricsReport, MetricsShard, DEFAULT_BOUNDS,
 };
 use crate::Ps;
 
@@ -44,42 +44,70 @@ impl Names {
     }
 }
 
+/// The event half of a tracer: the track table and the event buffer.
 #[derive(Debug, Default)]
-struct Inner {
+struct EventLog {
     tracks: Names,
     events: Vec<TraceEvent>,
     max_events: usize,
     dropped: u64,
-    metrics: MetricsRegistry,
+}
+
+#[derive(Debug)]
+struct Inner {
+    /// `None` on a metrics-only tracer; fixed at construction, so
+    /// [`Tracer::events_enabled`] reads it without a lock.
+    log: Option<Mutex<EventLog>>,
+    metrics: Mutex<MetricsRegistry>,
 }
 
 /// A cheap-to-clone tracing handle.
 ///
-/// Clones share the same buffer, so one `Tracer` can be handed to the
+/// A tracer has two parts, chosen at construction: an event log (tracks,
+/// spans, instants, the Chrome export) and metrics (counters, gauges,
+/// histograms). [`Tracer::new`] keeps both; [`Tracer::metrics_only`]
+/// keeps metrics and allocates no event buffer or track table, for a
+/// long-running server that exports metrics and never a trace.
+///
+/// Clones share the same parts, so one `Tracer` can be handed to the
 /// offload engine, every `SimContext`, and the memory system, and all
 /// events land on one timeline. The **disabled** tracer (the `Default`)
-/// holds nothing: every emit call is a branch on a `None` and returns —
-/// no allocation, no locking. Callers that must build a `String` for an
-/// event name guard on [`Tracer::enabled`] first so disabled runs never
-/// touch the heap.
+/// holds nothing: every call is a branch on a `None` and returns — no
+/// allocation, no locking. On a metrics-only tracer, event calls return
+/// just as early. Callers that must build a `String` or an args `Vec`
+/// for an event guard on [`Tracer::events_enabled`] first, and callers
+/// that resolve metric ids guard on [`Tracer::metrics_enabled`].
 #[derive(Debug, Clone, Default)]
 pub struct Tracer {
-    inner: Option<Arc<Mutex<Inner>>>,
+    inner: Option<Arc<Inner>>,
 }
 
 impl Tracer {
-    /// An enabled tracer with an empty buffer.
+    /// A tracer that records events and metrics, with empty buffers.
     pub fn new() -> Self {
         Self::with_max_events(DEFAULT_MAX_EVENTS)
     }
 
-    /// An enabled tracer that buffers at most `max_events` events.
+    /// A tracer that records metrics and buffers at most `max_events`
+    /// events.
     pub fn with_max_events(max_events: usize) -> Self {
+        let log = EventLog { max_events: max_events.max(1), ..EventLog::default() };
+        Self::with_log(Some(log))
+    }
+
+    /// A tracer that records metrics only: no event buffer and no track
+    /// table, so every event call returns before taking a lock, and
+    /// [`Tracer::track`] hands out [`TrackId::NONE`].
+    pub fn metrics_only() -> Self {
+        Self::with_log(None)
+    }
+
+    fn with_log(log: Option<EventLog>) -> Self {
         Self {
-            inner: Some(Arc::new(Mutex::new(Inner {
-                max_events: max_events.max(1),
-                ..Inner::default()
-            }))),
+            inner: Some(Arc::new(Inner {
+                log: log.map(Mutex::new),
+                metrics: Mutex::new(MetricsRegistry::default()),
+            })),
         }
     }
 
@@ -88,65 +116,62 @@ impl Tracer {
         Self { inner: None }
     }
 
-    /// Whether events are being recorded.
-    pub fn enabled(&self) -> bool {
+    /// Whether events (spans, instants, tracks) are being recorded.
+    pub fn events_enabled(&self) -> bool {
+        self.inner.as_ref().is_some_and(|i| i.log.is_some())
+    }
+
+    /// Whether metrics are being recorded: true for every tracer but the
+    /// disabled one.
+    pub fn metrics_enabled(&self) -> bool {
         self.inner.is_some()
     }
 
-    fn lock(&self) -> Option<MutexGuard<'_, Inner>> {
-        // A poisoned lock only happens if a holder panicked; the buffer
-        // itself is still consistent (all mutations are single calls), so
-        // recover rather than propagate the panic.
-        self.inner.as_ref().map(|m| m.lock().unwrap_or_else(|p| p.into_inner()))
+    fn log(&self) -> Option<MutexGuard<'_, EventLog>> {
+        self.inner.as_ref()?.log.as_ref().map(lock)
+    }
+
+    fn registry(&self) -> Option<MutexGuard<'_, MetricsRegistry>> {
+        self.inner.as_ref().map(|i| lock(&i.metrics))
     }
 
     /// Intern `name` as a track, returning its id. Repeated calls with
-    /// the same name return the same id. Disabled tracers, and enabled
-    /// ones that already hold 65,535 tracks, return [`TrackId::NONE`]
-    /// without registering anything.
+    /// the same name return the same id. Tracers without an event log,
+    /// and ones that already hold 65,535 tracks, return
+    /// [`TrackId::NONE`] without registering anything.
     pub fn track(&self, name: &str) -> TrackId {
-        let Some(mut inner) = self.lock() else {
+        let Some(mut log) = self.log() else {
             return TrackId::NONE;
         };
-        match inner.tracks.get(name) {
+        match log.tracks.get(name) {
             Some(id) => TrackId(id as u16),
-            None if inner.tracks.list.len() < MAX_TRACKS => {
-                TrackId(inner.tracks.intern(name) as u16)
-            }
+            None if log.tracks.list.len() < MAX_TRACKS => TrackId(log.tracks.intern(name) as u16),
             None => TrackId::NONE,
         }
     }
 
     /// Names of all registered tracks, in registration order.
     pub fn tracks(&self) -> Vec<String> {
-        self.lock().map(|i| i.tracks.list.clone()).unwrap_or_default()
+        self.log().map(|l| l.tracks.list.clone()).unwrap_or_default()
     }
 
     /// Buffer `ev`, or count it as dropped when it is on
-    /// [`TrackId::NONE`] or the buffer is full.
+    /// [`TrackId::NONE`] or the buffer is full. Without an event log this
+    /// returns without taking a lock.
     fn emit(&self, ev: TraceEvent) {
-        let Some(mut inner) = self.lock() else {
+        let Some(mut log) = self.log() else {
             return;
         };
-        if ev.track == TrackId::NONE || inner.events.len() >= inner.max_events {
-            inner.dropped += 1;
+        if ev.track == TrackId::NONE || log.events.len() >= log.max_events {
+            log.dropped += 1;
             return;
         }
-        inner.events.push(ev);
+        log.events.push(ev);
     }
 
     /// Record a span of `dur_ps` starting at `ts_ps` on `track`.
     pub fn complete(&self, track: TrackId, name: impl Into<Cow<'static, str>>, ts_ps: Ps, dur_ps: Ps) {
-        if !self.enabled() {
-            return;
-        }
-        self.emit(TraceEvent {
-            track,
-            name: name.into(),
-            ts_ps,
-            kind: EventKind::Complete { dur_ps },
-            args: Vec::new(),
-        });
+        self.complete_args(track, name, ts_ps, dur_ps, Vec::new());
     }
 
     /// [`Tracer::complete`] with key/value annotations.
@@ -158,9 +183,6 @@ impl Tracer {
         dur_ps: Ps,
         args: Vec<(&'static str, ArgValue)>,
     ) {
-        if !self.enabled() {
-            return;
-        }
         self.emit(TraceEvent {
             track,
             name: name.into(),
@@ -172,16 +194,7 @@ impl Tracer {
 
     /// Record a point event at `ts_ps` on `track`.
     pub fn instant(&self, track: TrackId, name: impl Into<Cow<'static, str>>, ts_ps: Ps) {
-        if !self.enabled() {
-            return;
-        }
-        self.emit(TraceEvent {
-            track,
-            name: name.into(),
-            ts_ps,
-            kind: EventKind::Instant,
-            args: Vec::new(),
-        });
+        self.instant_args(track, name, ts_ps, Vec::new());
     }
 
     /// [`Tracer::instant`] with key/value annotations.
@@ -192,9 +205,6 @@ impl Tracer {
         ts_ps: Ps,
         args: Vec<(&'static str, ArgValue)>,
     ) {
-        if !self.enabled() {
-            return;
-        }
         self.emit(TraceEvent { track, name: name.into(), ts_ps, kind: EventKind::Instant, args });
     }
 
@@ -203,7 +213,7 @@ impl Tracer {
     /// from its first update on. Disabled tracers return a placeholder
     /// that only their (no-op) shards are meant to receive.
     pub fn counter(&self, name: &str) -> CounterId {
-        self.lock().map(|mut i| i.metrics.counter(name)).unwrap_or_default()
+        self.registry().map(|mut m| m.counter(name)).unwrap_or_default()
     }
 
     /// Intern `name` as a histogram, returning the id that
@@ -212,7 +222,7 @@ impl Tracer {
     /// first. Disabled tracers return a placeholder, as for
     /// [`Tracer::counter`].
     pub fn histogram(&self, name: &str) -> HistogramId {
-        self.lock().map(|mut i| i.metrics.histogram(name, &DEFAULT_BOUNDS)).unwrap_or_default()
+        self.registry().map(|mut m| m.histogram(name, &DEFAULT_BOUNDS)).unwrap_or_default()
     }
 
     /// A writer's private metric slots (see [`MetricsShard`]): updates
@@ -222,20 +232,20 @@ impl Tracer {
     /// [`Tracer::metrics`]), so it holds only live shards. A disabled
     /// tracer returns a shard that records nothing.
     pub fn shard(&self) -> MetricsShard {
-        self.lock().map(|mut i| i.metrics.shard()).unwrap_or_default()
+        self.registry().map(|mut m| m.shard()).unwrap_or_default()
     }
 
     /// Add `delta` to counter `name`.
     pub fn count(&self, name: &str, delta: u64) {
-        if let Some(mut inner) = self.lock() {
-            inner.metrics.count(name, delta);
+        if let Some(mut m) = self.registry() {
+            m.count(name, delta);
         }
     }
 
     /// Set gauge `name`.
     pub fn gauge(&self, name: &str, value: f64) {
-        if let Some(mut inner) = self.lock() {
-            inner.metrics.gauge(name, value);
+        if let Some(mut m) = self.registry() {
+            m.gauge(name, value);
         }
     }
 
@@ -243,8 +253,8 @@ impl Tracer {
     /// value, so a scrape endpoint reports the full gauge set from the
     /// first snapshot rather than only gauges that have been touched.
     pub fn register_gauge(&self, name: &str, initial: f64) {
-        if let Some(mut inner) = self.lock() {
-            inner.metrics.register_gauge(name, initial);
+        if let Some(mut m) = self.registry() {
+            m.register_gauge(name, initial);
         }
     }
 
@@ -252,21 +262,21 @@ impl Tracer {
     /// Deltas may be negative; used for live occupancy-style gauges such
     /// as queue depths and in-flight job counts.
     pub fn gauge_add(&self, name: &str, delta: f64) {
-        if let Some(mut inner) = self.lock() {
-            inner.metrics.gauge_add(name, delta);
+        if let Some(mut m) = self.registry() {
+            m.gauge_add(name, delta);
         }
     }
 
     /// Current value of gauge `name` (zero if never set; always zero for
     /// a disabled tracer).
     pub fn gauge_value(&self, name: &str) -> f64 {
-        self.lock().map(|i| i.metrics.gauge_value(name)).unwrap_or(0.0)
+        self.registry().map(|m| m.gauge_value(name)).unwrap_or(0.0)
     }
 
     /// Record `value` into histogram `name`.
     pub fn observe(&self, name: &str, value: u64) {
-        if let Some(mut inner) = self.lock() {
-            inner.metrics.observe(name, value);
+        if let Some(mut m) = self.registry() {
+            m.observe(name, value);
         }
     }
 
@@ -275,41 +285,40 @@ impl Tracer {
     /// fixed when it is first interned, so this must come before any
     /// other use of the name for `bounds` to apply.
     pub fn register_histogram(&self, name: &str, bounds: &'static [u64]) {
-        if let Some(mut inner) = self.lock() {
-            inner.metrics.register_histogram(name, bounds);
+        if let Some(mut m) = self.registry() {
+            m.register_histogram(name, bounds);
         }
     }
 
     /// Snapshot of all metrics: the base slots plus every live shard
-    /// (empty for a disabled tracer). Lock order: the tracer's lock, then
-    /// each shard's in turn; writers only ever take their own shard's.
+    /// (empty for a disabled tracer). Lock order: the tracer's metrics
+    /// lock, then each shard's in turn; writers only ever take their own
+    /// shard's.
     pub fn metrics(&self) -> MetricsReport {
-        self.lock().map(|mut i| i.metrics.snapshot()).unwrap_or_default()
+        self.registry().map(|mut m| m.snapshot()).unwrap_or_default()
     }
 
-    /// A copy of the buffered events (empty for a disabled tracer).
+    /// A copy of the buffered events (empty without an event log).
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.lock().map(|i| i.events.clone()).unwrap_or_default()
+        self.log().map(|l| l.events.clone()).unwrap_or_default()
     }
 
     /// Number of buffered events.
     pub fn event_count(&self) -> usize {
-        self.lock().map(|i| i.events.len()).unwrap_or(0)
+        self.log().map(|l| l.events.len()).unwrap_or(0)
     }
 
     /// Events refused because the buffer cap was reached.
     pub fn dropped_events(&self) -> u64 {
-        self.lock().map(|i| i.dropped).unwrap_or(0)
+        self.log().map(|l| l.dropped).unwrap_or(0)
     }
 
     /// Export the buffer in the Chrome trace-event format
     /// (`chrome://tracing` / Perfetto loadable). Empty-but-valid JSON for
-    /// a disabled tracer.
+    /// a tracer without an event log.
     pub fn chrome_trace(&self) -> String {
-        match self.lock() {
-            Some(inner) => {
-                chrome::chrome_trace_json(&inner.tracks.list, &inner.events, inner.dropped)
-            }
+        match self.log() {
+            Some(log) => chrome::chrome_trace_json(&log.tracks.list, &log.events, log.dropped),
             None => chrome::chrome_trace_json(&[], &[], 0),
         }
     }
@@ -322,7 +331,7 @@ mod tests {
     #[test]
     fn disabled_tracer_records_nothing() {
         let t = Tracer::disabled();
-        assert!(!t.enabled());
+        assert!(!t.events_enabled() && !t.metrics_enabled());
         let id = t.track("cpu");
         assert_eq!(id, TrackId::NONE);
         t.complete(id, "span", 0, 10);
@@ -331,6 +340,24 @@ mod tests {
         t.observe("h", 1);
         assert_eq!(t.event_count(), 0);
         assert_eq!(t.metrics(), MetricsReport::default());
+    }
+
+    #[test]
+    fn metrics_only_tracer_keeps_metrics_and_no_events() {
+        let t = Tracer::metrics_only();
+        assert!(!t.events_enabled() && t.metrics_enabled());
+        let id = t.track("cpu");
+        assert_eq!(id, TrackId::NONE);
+        t.complete(id, "span", 0, 10);
+        t.instant_args(id, "mark", 5, vec![("n", 1u64.into())]);
+        t.count("c", 2);
+        t.observe("h", 7);
+        t.shard().count(t.counter("s"), 3);
+        assert_eq!((t.event_count(), t.dropped_events()), (0, 0));
+        assert!(t.tracks().is_empty() && t.events().is_empty());
+        assert_eq!(t.chrome_trace(), Tracer::disabled().chrome_trace());
+        let m = t.metrics();
+        assert_eq!((m.counters["c"], m.counters["s"], m.histograms["h"].count), (2, 3, 1));
     }
 
     #[test]

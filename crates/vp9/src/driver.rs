@@ -157,7 +157,7 @@ pub fn run_sw_decode(
     // Replay steady-state (inter) frames only: keyframes are rare in the
     // paper's 100-frame clips and would skew the per-function shares.
     for (frame, (enc, dec)) in per_frame.iter().enumerate().skip(1) {
-        if ctx.tracer().enabled() {
+        if ctx.tracer().events_enabled() {
             ctx.mark(format!("decode frame {frame}"));
         }
         // Entropy decoding: stream the bitstream; tight serial bit loop.
@@ -244,7 +244,7 @@ pub fn run_sw_encode(
     let recon_buf = TrackedPlane::new(ctx, Plane::new(w, h));
 
     for (frame, (enc, stats)) in per_frame.iter().enumerate().skip(1) {
-        if ctx.tracer().enabled() {
+        if ctx.tracer().events_enabled() {
             ctx.mark(format!("encode frame {frame}"));
         }
         let mbs = stats.macroblocks.max(1);
