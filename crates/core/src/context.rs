@@ -728,7 +728,7 @@ impl SimContext {
                 tracks.engine,
                 name,
                 self.sim_ps(),
-                vec![("region_bytes", region_bytes.into())],
+                [("region_bytes", region_bytes.into())],
             );
         }
         let cost = if begin {

@@ -404,7 +404,7 @@ impl OffloadEngine {
                 kernel.name(),
                 base_ps,
                 ctx.now_ps(),
-                vec![("mode", mode.label().into()), ("attempt", attempt_no.into())],
+                [("mode", mode.label().into()), ("attempt", attempt_no.into())],
             );
         }
         ctx
@@ -517,7 +517,7 @@ impl OffloadEngine {
                         recovery,
                         "fallback",
                         world_ps,
-                        vec![("to", m.label().into())],
+                        [("to", m.label().into())],
                     );
                 }
                 self.tracer.count("offload.fallbacks", 1);
@@ -564,7 +564,7 @@ impl OffloadEngine {
                                     "backoff",
                                     world_ps,
                                     backoff,
-                                    vec![
+                                    [
                                         ("retry", u64::from(retries_here).into()),
                                         ("mode", m.label().into()),
                                     ],

@@ -483,27 +483,33 @@ pub enum Field {
 }
 
 /// Parse one flat JSON object (string / unsigned-integer / null values
-/// only — exactly what the journal writes). Returns `None` on any
-/// malformation, including trailing garbage, so truncated lines from a
-/// killed process are rejected rather than half-read.
+/// only — exactly what the journal writes). JSON whitespace may surround
+/// every token, as a standard encoder's default output has it; the
+/// journal itself is written compact. Returns `None` on any malformation,
+/// including trailing garbage, so truncated lines from a killed process
+/// are rejected rather than half-read.
 pub fn parse_flat_object(line: &str) -> Option<BTreeMap<String, Field>> {
     let mut chars = line.trim().chars().peekable();
     let mut fields = BTreeMap::new();
     if chars.next()? != '{' {
         return None;
     }
+    skip_whitespace(&mut chars);
     if chars.peek() == Some(&'}') {
         chars.next();
         return if chars.next().is_none() { Some(fields) } else { None };
     }
     loop {
+        skip_whitespace(&mut chars);
         if chars.next()? != '"' {
             return None;
         }
         let key = parse_string_body(&mut chars)?;
+        skip_whitespace(&mut chars);
         if chars.next()? != ':' {
             return None;
         }
+        skip_whitespace(&mut chars);
         let value = match chars.peek()? {
             '"' => {
                 chars.next();
@@ -528,6 +534,7 @@ pub fn parse_flat_object(line: &str) -> Option<BTreeMap<String, Field>> {
             _ => return None,
         };
         fields.insert(key, value);
+        skip_whitespace(&mut chars);
         match chars.next()? {
             ',' => continue,
             '}' => break,
@@ -539,6 +546,11 @@ pub fn parse_flat_object(line: &str) -> Option<BTreeMap<String, Field>> {
     } else {
         None
     }
+}
+
+/// Skip JSON's insignificant whitespace: space, tab, CR and LF.
+fn skip_whitespace(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) {
+    while chars.next_if(|c| matches!(c, ' ' | '\t' | '\r' | '\n')).is_some() {}
 }
 
 /// Parse a JSON string body after the opening quote, handling the escapes
@@ -898,5 +910,36 @@ mod tests {
         assert!(parse_flat_object(r#"{"a":1} trailing"#).is_none());
         assert!(parse_flat_object("").is_none());
         assert!(parse_flat_object("{}").is_some());
+    }
+
+    #[test]
+    fn flat_parser_skips_json_whitespace_between_tokens() {
+        let compact = parse_flat_object(r#"{"op":"hello","client":"probe","n":7,"z":null}"#);
+        assert!(compact.is_some());
+        for spaced in [
+            r#"{"op": "hello", "client": "probe", "n": 7, "z": null}"#,
+            "{ \"op\" :\t\"hello\" ,\r\n \"client\":\"probe\",\"n\" : 7 ,\"z\":null\n}",
+        ] {
+            assert_eq!(parse_flat_object(spaced), compact, "{spaced:?}");
+        }
+        let ping = parse_flat_object(r#"{ "op":"ping" }"#).unwrap();
+        assert_eq!(ping.get("op"), Some(&Field::Str("ping".into())));
+        assert_eq!(parse_flat_object("{ \t}"), Some(BTreeMap::new()));
+        // Whitespace inside a string is data, not layout.
+        let kept = parse_flat_object(r#"{ "k" : " v " }"#).unwrap();
+        assert_eq!(kept.get("k"), Some(&Field::Str(" v ".into())));
+        // Truncated or malformed lines stay rejected with whitespace around.
+        for bad in [
+            r#"{ "a": "x", "#,
+            r#"{ "a": "#,
+            r#"{ "a": 1 "#,
+            r#"{ "a" 1 }"#,
+            r#"{ "a": 1 2 }"#,
+            r#"{ "a": n ull }"#,
+            r#"{ "a": 1 , }"#,
+            r#"{ "a": 1 } x"#,
+        ] {
+            assert!(parse_flat_object(bad).is_none(), "{bad:?}");
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! The assembled memory system: caches in front of a DRAM backend.
 
 use pim_faults::DmpimError;
-use pim_trace::{CounterId, HistogramId, MetricsShard, TrackId, Tracer};
+use pim_trace::{CounterId, HistogramId, MetricsShard, ShardWriter, TrackId, Tracer};
 
 use crate::access::{lines_of, AccessKind, Activity, LINE_BYTES};
 use crate::cache::{Cache, CacheStats};
@@ -124,9 +124,10 @@ const LATENCY_HISTOGRAMS: [[&str; 2]; 3] = [
 /// Per-line DRAM service latency (array + channel) histograms, by kind.
 const DRAM_LATENCY_HISTOGRAMS: [&str; 2] = ["dram.latency_ps.read", "dram.latency_ps.write"];
 
-/// Track and metric ids resolved once for a registered tracer, and this
-/// system's own metric shard. Present only while tracing is enabled, so
-/// the disabled path stays a single `Option` branch.
+/// Track and metric ids resolved once for a registered tracer, this
+/// system's own metric shard, and the buffers a walk notes its DRAM and
+/// vault lines in. Present only while tracing is enabled, so the disabled
+/// path stays a single `Option` branch and never allocates.
 #[derive(Debug, Clone)]
 struct TraceHooks {
     tracer: Tracer,
@@ -137,6 +138,12 @@ struct TraceHooks {
     access: [[CounterId; 4]; 2],
     latency: [[HistogramId; 2]; 3],
     dram_latency: [HistogramId; 2],
+    /// Latency of each DRAM line of the walk in progress, by kind (read,
+    /// write). Empty between walks.
+    dram_lines: [Vec<Ps>; 2],
+    /// Per vault the PIM walk in progress touched, in first-touch order:
+    /// (index, lines, max latency). Empty between walks.
+    per_vault: Vec<(usize, u64, Ps)>,
 }
 
 impl TraceHooks {
@@ -145,6 +152,7 @@ impl TraceHooks {
     /// committed streak of `n` all-hit rows books once.
     fn book_accesses(
         &self,
+        w: &mut ShardWriter<'_>,
         port: Port,
         kind: AccessKind,
         out: &AccessOutcome,
@@ -152,17 +160,82 @@ impl TraceHooks {
         n: u64,
     ) {
         let [accesses, lines, memory_lines, wbs] = self.access[usize::from(port != Port::Cpu)];
-        let s = &self.shard;
-        s.count(accesses, n);
-        s.count(lines, n * out.lines);
-        s.count(memory_lines, n * out.memory_lines);
-        s.count(wbs, n * writebacks);
-        s.observe(self.latency[port as usize][usize::from(kind.is_write())], out.latency_ps, n);
+        w.count(accesses, n);
+        w.count(lines, n * out.lines);
+        w.count(memory_lines, n * out.memory_lines);
+        w.count(wbs, n * writebacks);
+        w.observe(self.latency[port as usize][usize::from(kind.is_write())], out.latency_ps, n);
     }
 
-    /// Book one DRAM line's latency.
-    fn dram_line(&self, kind: AccessKind, latency_ps: Ps) {
-        self.shard.observe(self.dram_latency[usize::from(kind.is_write())], latency_ps, 1);
+    /// Note one DRAM line's latency for the walk in progress.
+    fn dram_line(&mut self, kind: AccessKind, latency_ps: Ps) {
+        self.dram_lines[usize::from(kind.is_write())].push(latency_ps);
+    }
+
+    /// Note one line of the PIM walk in progress that `vault` served.
+    fn vault_line(&mut self, vault: usize, latency_ps: Ps) {
+        match self.per_vault.iter_mut().find(|e| e.0 == vault) {
+            Some(e) => {
+                e.1 += 1;
+                e.2 = e.2.max(latency_ps);
+            }
+            None => self.per_vault.push((vault, 1, latency_ps)),
+        }
+    }
+
+    /// Book the walk that just ended under one shard lock: the access,
+    /// then the DRAM and vault lines it noted, which empties the buffers
+    /// (histogram merges commute, so booking them late changes nothing).
+    /// Then record its events: a CPU walk that reached memory spans the
+    /// `dram` track, a PIM walk spans each vault it touched.
+    ///
+    /// `out` comes by value: a reference lets the walk's outcome escape
+    /// into this out-of-line call, which kept it in memory through the CPU
+    /// walk's loop even untraced (sub-pixel interpolation ran ~6% slower).
+    fn book_walk(
+        &mut self,
+        port: Port,
+        kind: AccessKind,
+        out: AccessOutcome,
+        writebacks: u64,
+        now: Ps,
+    ) {
+        let mut w = self.shard.writer();
+        self.book_accesses(&mut w, port, kind, &out, writebacks, 1);
+        for (&id, lines) in self.dram_latency.iter().zip(&mut self.dram_lines) {
+            for latency_ps in lines.drain(..) {
+                w.observe(id, latency_ps, 1);
+            }
+        }
+        for &(v, lines, _) in &self.per_vault {
+            if let Some(&(_, vault_lines)) = self.vaults.get(v) {
+                w.count(vault_lines, lines);
+            }
+        }
+        drop(w);
+        if self.tracer.events_enabled() {
+            if port == Port::Cpu && out.memory_lines > 0 {
+                self.tracer.complete_args(
+                    self.dram,
+                    kind_label(kind),
+                    now,
+                    out.latency_ps,
+                    [("lines", out.lines.into()), ("memory_lines", out.memory_lines.into())],
+                );
+            }
+            for &(v, lines, dur) in &self.per_vault {
+                if let Some(&(track, _)) = self.vaults.get(v) {
+                    self.tracer.complete_args(
+                        track,
+                        kind_label(kind),
+                        now,
+                        dur,
+                        [("lines", lines.into())],
+                    );
+                }
+            }
+        }
+        self.per_vault.clear();
     }
 }
 
@@ -275,6 +348,8 @@ impl MemorySystem {
             access: ACCESS_COUNTERS.map(|names| names.map(|n| tracer.counter(n))),
             latency: LATENCY_HISTOGRAMS.map(|names| names.map(|n| tracer.histogram(n))),
             dram_latency: DRAM_LATENCY_HISTOGRAMS.map(|n| tracer.histogram(n)),
+            dram_lines: Default::default(),
+            per_vault: Vec::new(),
         });
     }
 
@@ -403,7 +478,7 @@ impl MemorySystem {
                     lines: lines_per_row,
                     ..AccessOutcome::default()
                 };
-                h.book_accesses(port, kind, &row, 0, full);
+                h.book_accesses(&mut h.shard.writer(), port, kind, &row, 0, full);
             }
         }
         RowsOutcome { lines_per_row, full_rows: full, partial_hits: partial }
@@ -535,17 +610,8 @@ impl MemorySystem {
             service_ps: lead_split.service_ps + wait_split.service_ps,
             link_ps: lead_split.link_ps + wait_split.link_ps,
         };
-        if let Some(h) = &self.hooks {
-            h.book_accesses(Port::Cpu, kind, &out, writebacks, 1);
-            if out.memory_lines > 0 && h.tracer.events_enabled() {
-                h.tracer.complete_args(
-                    h.dram,
-                    kind_label(kind),
-                    now,
-                    out.latency_ps,
-                    vec![("lines", out.lines.into()), ("memory_lines", out.memory_lines.into())],
-                );
-            }
+        if let Some(h) = &mut self.hooks {
+            h.book_walk(Port::Cpu, kind, out, writebacks, now);
         }
         out
     }
@@ -566,9 +632,6 @@ impl MemorySystem {
         let mut occupancy: Ps = 0;
         let mut mem_finish: Ps = now;
         let mut writebacks: u64 = 0;
-        // Per-vault (index, lines, max latency) touched by this access;
-        // populated only while tracing so the disabled path never allocates.
-        let mut per_vault: Vec<(usize, u64, Ps)> = Vec::new();
         let Self { pim_l1, scratch, backend, hooks, .. } = self;
         let (cache, hit_ps): (&mut Cache, Ps) = match port {
             Port::PimCore => (pim_l1, PIM_L1_HIT_PS),
@@ -594,15 +657,6 @@ impl MemorySystem {
         // Array-service estimate per row hit/miss, used to split each
         // line's vault latency into DRAM service vs TSV-link time.
         let vault_cfg = stacked.config().vault;
-        let note_vault = |per_vault: &mut Vec<(usize, u64, Ps)>, vault: usize, lat: Ps| {
-            match per_vault.iter_mut().find(|e| e.0 == vault) {
-                Some(e) => {
-                    e.1 += 1;
-                    e.2 = e.2.max(lat);
-                }
-                None => per_vault.push((vault, 1, lat)),
-            }
-        };
         // Wait split of the slowest memory line (service vs link), so the
         // final breakdown sums exactly to `latency_ps`.
         let mut wait_split = LatencyBreakdown::default();
@@ -629,9 +683,9 @@ impl MemorySystem {
                     out.activity.row_misses += 1;
                 }
                 writebacks += 1;
-                if let Some(h) = hooks.as_ref() {
+                if let Some(h) = hooks.as_mut() {
                     h.dram_line(AccessKind::Write, o.latency_ps);
-                    note_vault(&mut per_vault, o.vault, o.latency_ps);
+                    h.vault_line(o.vault, o.latency_ps);
                 }
             }
             out.memory_lines += 1;
@@ -648,9 +702,9 @@ impl MemorySystem {
             } else {
                 out.activity.row_misses += 1;
             }
-            if let Some(h) = hooks.as_ref() {
+            if let Some(h) = hooks.as_mut() {
                 h.dram_line(kind, o.latency_ps);
-                note_vault(&mut per_vault, o.vault, o.latency_ps);
+                h.vault_line(o.vault, o.latency_ps);
             }
             lead = lead.max(hit_ps);
             if now + o.latency_ps > mem_finish {
@@ -677,22 +731,8 @@ impl MemorySystem {
             service_ps: wait_split.service_ps,
             link_ps: wait_split.link_ps,
         };
-        if let Some(h) = hooks.as_ref() {
-            h.book_accesses(port, kind, &out, writebacks, 1);
-            for (v, lines, dur) in per_vault {
-                if let Some(&(track, vault_lines)) = h.vaults.get(v) {
-                    h.shard.count(vault_lines, lines);
-                    if h.tracer.events_enabled() {
-                        h.tracer.complete_args(
-                            track,
-                            kind_label(kind),
-                            now,
-                            dur,
-                            vec![("lines", lines.into())],
-                        );
-                    }
-                }
-            }
+        if let Some(h) = hooks.as_mut() {
+            h.book_walk(port, kind, out, writebacks, now);
         }
         Ok(out)
     }
@@ -720,7 +760,7 @@ impl MemorySystem {
                 o.latency_ps
             }
         };
-        if let Some(h) = &self.hooks {
+        if let Some(h) = &mut self.hooks {
             h.dram_line(AccessKind::Write, lat);
         }
     }
@@ -755,7 +795,7 @@ impl MemorySystem {
                 (o.latency_ps, s.config().vault.row_hit_ps)
             }
         };
-        if let Some(h) = &self.hooks {
+        if let Some(h) = &mut self.hooks {
             h.dram_line(AccessKind::Read, out.0);
         }
         out

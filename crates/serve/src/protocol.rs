@@ -505,6 +505,30 @@ mod tests {
     }
 
     #[test]
+    fn requests_parse_with_json_whitespace() {
+        // What a standard encoder emits by default (Python's `json.dumps`).
+        assert_eq!(
+            Request::parse(r#"{"op": "hello", "client": "probe"}"#),
+            Ok(Request::Hello { client: "probe".into() })
+        );
+        assert_eq!(Request::parse(r#"{ "op":"ping" }"#), Ok(Request::Ping));
+        assert_eq!(
+            Request::parse(r#"{"op": "wait", "id": "fig18", "timeout_ms": 250}"#),
+            Ok(Request::Wait { id: "fig18".into(), timeout_ms: Some(250) })
+        );
+        let pretty = "{\n  \"op\": \"submit\",\n  \"id\": \"x\",\n  \"spec\": \"kernel:compression\"\n}";
+        assert_eq!(
+            Request::parse(pretty),
+            Ok(Request::Submit {
+                id: "x".into(),
+                spec: "kernel:compression".into(),
+                priority: Priority::Normal,
+            })
+        );
+        assert!(Request::parse(r#"{"op": "hello", "client": "#).is_err(), "truncated");
+    }
+
+    #[test]
     fn normal_priority_renders_byte_identically_to_pre_priority_wire() {
         // Interop: a Normal submit must not grow a field, so old servers
         // and new clients (and vice versa) keep speaking the same bytes.

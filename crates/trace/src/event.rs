@@ -96,6 +96,82 @@ impl TraceEvent {
     }
 }
 
+/// One buffered event: a [`TraceEvent`] whose args sit in its buffer's
+/// arena instead of a `Vec` of their own.
+#[derive(Debug)]
+pub(crate) struct Record {
+    pub(crate) name: Cow<'static, str>,
+    pub(crate) ts_ps: Ps,
+    pub(crate) kind: EventKind,
+    /// This event's args are `arena[args_start..][..args_len]`.
+    args_start: u32,
+    args_len: u16,
+    pub(crate) track: TrackId,
+}
+
+/// The event buffer: records in emit order and one arena holding every
+/// record's args back to back, so buffering an event allocates nothing
+/// of its own.
+#[derive(Debug, Default)]
+pub(crate) struct EventBuf {
+    records: Vec<Record>,
+    arena: Vec<(&'static str, ArgValue)>,
+}
+
+impl EventBuf {
+    /// Number of buffered events.
+    pub(crate) fn len(&self) -> usize {
+        self.records.len()
+    }
+
+    /// Buffer an event. Returns false, keeping nothing, when its args no
+    /// longer fit the record's arena offsets (past 4G args in all, or 64K
+    /// on one event).
+    pub(crate) fn push(
+        &mut self,
+        track: TrackId,
+        name: Cow<'static, str>,
+        ts_ps: Ps,
+        kind: EventKind,
+        args: impl IntoIterator<Item = (&'static str, ArgValue)>,
+    ) -> bool {
+        let start = self.arena.len();
+        self.arena.extend(args);
+        let (Ok(args_start), Ok(args_len)) =
+            (u32::try_from(start), u16::try_from(self.arena.len() - start))
+        else {
+            self.arena.truncate(start);
+            return false;
+        };
+        self.records.push(Record { name, ts_ps, kind, args_start, args_len, track });
+        true
+    }
+
+    /// The buffered records, in emit order.
+    pub(crate) fn records(&self) -> &[Record] {
+        &self.records
+    }
+
+    /// `record`'s args, in push order.
+    pub(crate) fn args(&self, record: &Record) -> &[(&'static str, ArgValue)] {
+        let start = record.args_start as usize;
+        &self.arena[start..start + usize::from(record.args_len)]
+    }
+
+    /// Every buffered event as a [`TraceEvent`], in emit order.
+    pub(crate) fn to_events(&self) -> Vec<TraceEvent> {
+        (self.records.iter())
+            .map(|r| TraceEvent {
+                track: r.track,
+                name: r.name.clone(),
+                ts_ps: r.ts_ps,
+                kind: r.kind,
+                args: self.args(r).to_vec(),
+            })
+            .collect()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -112,6 +188,13 @@ mod tests {
         assert_eq!(e.end_ps(), 15);
         let i = TraceEvent { kind: EventKind::Instant, ..e };
         assert_eq!(i.end_ps(), 10);
+    }
+
+    #[test]
+    fn records_stay_small() {
+        // The per-event cost the arena buys: no heap block of its own.
+        assert!(std::mem::size_of::<Record>() <= 56);
+        assert!(std::mem::size_of::<(&'static str, ArgValue)>() <= 40);
     }
 
     #[test]

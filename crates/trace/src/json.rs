@@ -403,17 +403,24 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonParseErr
 /// Write `s` as a JSON string literal (quotes, escapes) into `out`.
 pub fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    // Only `"`, `\` and control characters are escaped, all ASCII, and no
+    // byte of a multi-byte UTF-8 character is ASCII: a string without
+    // such a byte is copied whole.
+    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        out.push_str(s);
+    } else {
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
             }
-            c => out.push(c),
         }
     }
     out.push('"');
@@ -481,6 +488,43 @@ impl From<String> for JsonValue {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn escape_fast_path_matches_the_per_char_path() {
+        let per_char = |s: &str| {
+            let mut out = String::from('"');
+            for c in s.chars() {
+                match c {
+                    '"' => out.push_str("\\\""),
+                    '\\' => out.push_str("\\\\"),
+                    '\n' => out.push_str("\\n"),
+                    '\r' => out.push_str("\\r"),
+                    '\t' => out.push_str("\\t"),
+                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                    c => out.push(c),
+                }
+            }
+            out.push('"');
+            out
+        };
+        let cases = [
+            "",
+            "read",
+            "mem.vault.07.lines",
+            "a \"quoted\" name",
+            "back\\slash",
+            "\n\r\t",
+            "\u{0}\u{1}\u{1f}",
+            "del \u{7f} stays",
+            "naïve ünïcödé 日本 ✓",
+            "mixed ü\"\u{7}日",
+        ];
+        for s in cases {
+            let mut out = String::new();
+            write_escaped(&mut out, s);
+            assert_eq!(out, per_char(s), "{s:?}");
+        }
+    }
 
     #[test]
     fn renders_nested_structures() {

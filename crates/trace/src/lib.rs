@@ -29,9 +29,12 @@
 //! * Metric names are interned too ([`CounterId`], [`HistogramId`]). Hot
 //!   writers book by id through their own [`MetricsShard`]
 //!   ([`Tracer::shard`]), so threads simulating into one tracer do not
-//!   contend for metrics; snapshots add the shards up exactly.
+//!   contend for metrics, and a batch of updates takes the shard's lock
+//!   once ([`MetricsShard::writer`]); snapshots add the shards up exactly.
+//! * Buffered events keep their args in one arena per event log, so an
+//!   emit allocates nothing of its own.
 //! * Exporters are hand-rolled (the workspace has a no-external-deps
-//!   rule): [`chrome::chrome_trace_json`] emits the Chrome trace-event
+//!   rule): [`Tracer::chrome_trace`] emits the Chrome trace-event
 //!   format, [`json::JsonValue`] is the tiny JSON writer every
 //!   machine-readable artifact in the workspace shares, and
 //!   [`MetricsReport::to_json`] dumps the registry.
@@ -64,7 +67,7 @@ pub mod tracer;
 pub use event::{ArgValue, EventKind, TraceEvent, TrackId};
 pub use json::{JsonParseError, JsonValue};
 pub use metrics::{
-    CounterId, Histogram, HistogramId, HistogramSnapshot, MetricsReport, MetricsShard,
+    CounterId, Histogram, HistogramId, HistogramSnapshot, MetricsReport, MetricsShard, ShardWriter,
 };
 pub use tracer::Tracer;
 

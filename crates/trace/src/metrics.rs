@@ -257,28 +257,56 @@ pub(crate) fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// A writer's private metric slots, from [`crate::Tracer::shard`].
 ///
 /// Updates take only the shard's own lock, so writers on different
-/// threads do not contend. Every [`crate::Tracer::metrics`] snapshot
-/// includes every live shard, and the tracer folds a shard into its base
-/// slots once the writer has dropped it. A shard of a disabled tracer
-/// records nothing. Clones share one set of slots.
+/// threads do not contend. A writer that books several updates at once
+/// (a memory walk books five or more) takes the lock once for all of them
+/// through [`MetricsShard::writer`]. Every [`crate::Tracer::metrics`]
+/// snapshot includes every live shard, and the tracer folds a shard into
+/// its base slots once the writer has dropped it. A shard of a disabled
+/// tracer records nothing. Clones share one set of slots.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsShard {
     slots: Option<Arc<Mutex<Slots>>>,
 }
 
 impl MetricsShard {
+    /// Lock the shard for a batch of updates, released when the returned
+    /// writer drops. A snapshot sees either none or all of the batch.
+    pub fn writer(&self) -> ShardWriter<'_> {
+        ShardWriter { slots: self.slots.as_deref().map(lock) }
+    }
+
     /// Add `delta` to counter `id`.
     pub fn count(&self, id: CounterId, delta: u64) {
-        if let Some(s) = &self.slots {
-            lock(s).count(id, delta);
-        }
+        self.writer().count(id, delta);
     }
 
     /// Record `n` observations of `value` into histogram `id`, the same
     /// state as `n` single observations; `n == 0` records nothing.
     pub fn observe(&self, id: HistogramId, value: u64, n: u64) {
-        if let Some(s) = &self.slots {
-            lock(s).observe(id, value, n);
+        self.writer().observe(id, value, n);
+    }
+}
+
+/// A [`MetricsShard`] held locked for several updates; from
+/// [`MetricsShard::writer`]. A disabled tracer's writer records nothing.
+#[derive(Debug)]
+pub struct ShardWriter<'a> {
+    slots: Option<MutexGuard<'a, Slots>>,
+}
+
+impl ShardWriter<'_> {
+    /// Add `delta` to counter `id`.
+    pub fn count(&mut self, id: CounterId, delta: u64) {
+        if let Some(s) = &mut self.slots {
+            s.count(id, delta);
+        }
+    }
+
+    /// Record `n` observations of `value` into histogram `id`, the same
+    /// state as `n` single observations; `n == 0` records nothing.
+    pub fn observe(&mut self, id: HistogramId, value: u64, n: u64) {
+        if let Some(s) = &mut self.slots {
+            s.observe(id, value, n);
         }
     }
 }

@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::chrome;
-use crate::event::{ArgValue, EventKind, TraceEvent, TrackId};
+use crate::event::{ArgValue, EventBuf, EventKind, TraceEvent, TrackId};
 use crate::metrics::{
     lock, CounterId, HistogramId, MetricsRegistry, MetricsReport, MetricsShard, DEFAULT_BOUNDS,
 };
@@ -48,7 +48,7 @@ impl Names {
 #[derive(Debug, Default)]
 struct EventLog {
     tracks: Names,
-    events: Vec<TraceEvent>,
+    events: EventBuf,
     max_events: usize,
     dropped: u64,
 }
@@ -74,9 +74,9 @@ struct Inner {
 /// events land on one timeline. The **disabled** tracer (the `Default`)
 /// holds nothing: every call is a branch on a `None` and returns — no
 /// allocation, no locking. On a metrics-only tracer, event calls return
-/// just as early. Callers that must build a `String` or an args `Vec`
-/// for an event guard on [`Tracer::events_enabled`] first, and callers
-/// that resolve metric ids guard on [`Tracer::metrics_enabled`].
+/// just as early. Callers that must build a `String` name or args for an
+/// event guard on [`Tracer::events_enabled`] first, and callers that
+/// resolve metric ids guard on [`Tracer::metrics_enabled`].
 #[derive(Debug, Clone, Default)]
 pub struct Tracer {
     inner: Option<Arc<Inner>>,
@@ -155,57 +155,61 @@ impl Tracer {
         self.log().map(|l| l.tracks.list.clone()).unwrap_or_default()
     }
 
-    /// Buffer `ev`, or count it as dropped when it is on
-    /// [`TrackId::NONE`] or the buffer is full. Without an event log this
-    /// returns without taking a lock.
-    fn emit(&self, ev: TraceEvent) {
+    /// Buffer an event, or count it as dropped when it is on
+    /// [`TrackId::NONE`], the buffer is full or its args overflow the
+    /// arena. Without an event log this returns without taking a lock.
+    fn emit(
+        &self,
+        track: TrackId,
+        name: Cow<'static, str>,
+        ts_ps: Ps,
+        kind: EventKind,
+        args: impl IntoIterator<Item = (&'static str, ArgValue)>,
+    ) {
         let Some(mut log) = self.log() else {
             return;
         };
-        if ev.track == TrackId::NONE || log.events.len() >= log.max_events {
+        if track == TrackId::NONE
+            || log.events.len() >= log.max_events
+            || !log.events.push(track, name, ts_ps, kind, args)
+        {
             log.dropped += 1;
-            return;
         }
-        log.events.push(ev);
     }
 
     /// Record a span of `dur_ps` starting at `ts_ps` on `track`.
     pub fn complete(&self, track: TrackId, name: impl Into<Cow<'static, str>>, ts_ps: Ps, dur_ps: Ps) {
-        self.complete_args(track, name, ts_ps, dur_ps, Vec::new());
+        self.complete_args(track, name, ts_ps, dur_ps, []);
     }
 
-    /// [`Tracer::complete`] with key/value annotations.
+    /// [`Tracer::complete`] with key/value annotations, kept in the order
+    /// given. Emit sites pass an array, so no event builds a `Vec`.
     pub fn complete_args(
         &self,
         track: TrackId,
         name: impl Into<Cow<'static, str>>,
         ts_ps: Ps,
         dur_ps: Ps,
-        args: Vec<(&'static str, ArgValue)>,
+        args: impl IntoIterator<Item = (&'static str, ArgValue)>,
     ) {
-        self.emit(TraceEvent {
-            track,
-            name: name.into(),
-            ts_ps,
-            kind: EventKind::Complete { dur_ps },
-            args,
-        });
+        self.emit(track, name.into(), ts_ps, EventKind::Complete { dur_ps }, args);
     }
 
     /// Record a point event at `ts_ps` on `track`.
     pub fn instant(&self, track: TrackId, name: impl Into<Cow<'static, str>>, ts_ps: Ps) {
-        self.instant_args(track, name, ts_ps, Vec::new());
+        self.instant_args(track, name, ts_ps, []);
     }
 
-    /// [`Tracer::instant`] with key/value annotations.
+    /// [`Tracer::instant`] with key/value annotations, kept in the order
+    /// given.
     pub fn instant_args(
         &self,
         track: TrackId,
         name: impl Into<Cow<'static, str>>,
         ts_ps: Ps,
-        args: Vec<(&'static str, ArgValue)>,
+        args: impl IntoIterator<Item = (&'static str, ArgValue)>,
     ) {
-        self.emit(TraceEvent { track, name: name.into(), ts_ps, kind: EventKind::Instant, args });
+        self.emit(track, name.into(), ts_ps, EventKind::Instant, args);
     }
 
     /// Intern `name` as a counter, returning the id that
@@ -298,9 +302,10 @@ impl Tracer {
         self.registry().map(|mut m| m.snapshot()).unwrap_or_default()
     }
 
-    /// A copy of the buffered events (empty without an event log).
+    /// A copy of the buffered events, in emit order (empty without an
+    /// event log).
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.log().map(|l| l.events.clone()).unwrap_or_default()
+        self.log().map(|l| l.events.to_events()).unwrap_or_default()
     }
 
     /// Number of buffered events.
@@ -319,7 +324,7 @@ impl Tracer {
     pub fn chrome_trace(&self) -> String {
         match self.log() {
             Some(log) => chrome::chrome_trace_json(&log.tracks.list, &log.events, log.dropped),
-            None => chrome::chrome_trace_json(&[], &[], 0),
+            None => chrome::chrome_trace_json(&[], &EventBuf::default(), 0),
         }
     }
 }
@@ -349,7 +354,7 @@ mod tests {
         let id = t.track("cpu");
         assert_eq!(id, TrackId::NONE);
         t.complete(id, "span", 0, 10);
-        t.instant_args(id, "mark", 5, vec![("n", 1u64.into())]);
+        t.instant_args(id, "mark", 5, [("n", 1u64.into())]);
         t.count("c", 2);
         t.observe("h", 7);
         t.shard().count(t.counter("s"), 3);
@@ -358,6 +363,44 @@ mod tests {
         assert_eq!(t.chrome_trace(), Tracer::disabled().chrome_trace());
         let m = t.metrics();
         assert_eq!((m.counters["c"], m.counters["s"], m.histograms["h"].count), (2, 3, 1));
+    }
+
+    #[test]
+    fn events_keep_their_args_in_push_order() {
+        let t = Tracer::new();
+        let track = t.track("x");
+        t.instant(track, "none", 0);
+        t.complete_args(track, "one", 1, 2, [("a", 1u64.into())]);
+        t.instant_args(track, String::from("two"), 3, [("a", 1u64.into()), ("b", "s".into())]);
+        let three = [("c", 0.5.into()), ("a", 2u64.into()), ("b", "t".into())];
+        t.complete_args(track, "three", 4, 5, three);
+        let got: Vec<_> = (t.events().into_iter())
+            .map(|e| (e.name.into_owned(), e.ts_ps, e.kind, e.args))
+            .collect();
+        let want = vec![
+            ("none".to_string(), 0, EventKind::Instant, vec![]),
+            ("one".to_string(), 1, EventKind::Complete { dur_ps: 2 }, vec![("a", 1u64.into())]),
+            ("two".to_string(), 3, EventKind::Instant, vec![("a", 1u64.into()), ("b", "s".into())]),
+            (
+                "three".to_string(),
+                4,
+                EventKind::Complete { dur_ps: 5 },
+                vec![("c", 0.5.into()), ("a", 2u64.into()), ("b", "t".into())],
+            ),
+        ];
+        assert_eq!(got, want);
+    }
+
+    #[test]
+    fn an_event_with_too_many_args_is_dropped_whole() {
+        let t = Tracer::new();
+        let track = t.track("x");
+        t.instant_args(track, "before", 0, [("a", 1u64.into())]);
+        t.instant_args(track, "huge", 1, (0..=u64::from(u16::MAX)).map(|n| ("n", n.into())));
+        t.instant_args(track, "after", 2, [("b", 2u64.into())]);
+        assert_eq!((t.event_count(), t.dropped_events()), (2, 1));
+        let args: Vec<_> = t.events().into_iter().map(|e| e.args).collect();
+        assert_eq!(args, [vec![("a", 1u64.into())], vec![("b", 2u64.into())]]);
     }
 
     #[test]

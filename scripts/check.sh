@@ -22,16 +22,19 @@ echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> trace-overhead bench (smoke)"
-# Prints the disabled, metrics-only and enabled tracer overhead, and the
+# Prints the disabled, metrics-only and enabled tracer overhead, the
 # case a server meets: two threads running the kernel at once into one
 # metrics-only tracer, as wall time per run beside the one-thread
-# metrics-only time. Print-only; both lines must be there.
+# metrics-only time, and the best-of-N Chrome export of the enabled run
+# with its byte count. Print-only; all three lines must be there.
 trace_out=$(cargo bench -q -p pim-bench --bench trace_overhead -- --smoke)
 echo "$trace_out"
 echo "$trace_out" | grep -q "metrics-only tracer" \
     || { echo "trace_overhead bench: metrics-only tracer case missing"; exit 1; }
 echo "$trace_out" | grep -q "2 threads on one tracer" \
     || { echo "trace_overhead bench: two-thread shared-tracer case missing"; exit 1; }
+echo "$trace_out" | grep -q "chrome export of the enabled run" \
+    || { echo "trace_overhead bench: chrome export case missing"; exit 1; }
 
 echo "==> profiler-overhead bench (smoke)"
 cargo bench -q -p pim-bench --bench profiler_overhead -- --smoke
