@@ -67,14 +67,14 @@
 //! cargo run -p pim-bench --release --bin repro -- --connect 127.0.0.1:7009 --drain
 //! ```
 //!
-//! `--serve` runs the `pim-serve` scheduler (work stealing, per-client
-//! quotas via `--quota`/`--queue-depth`, wall/watchdog supervision,
-//! journal-backed crash recovery) with this crate's catalog. `--connect`
-//! submits all 23 experiments as jobs and prints stdout byte-identical
-//! to the default in-process run — even when the server was SIGKILLed
-//! and restarted mid-sweep, because submissions are idempotent and
-//! finished jobs replay from the journal. `--drain` asks the server to
-//! shut down gracefully once the results are in.
+//! `--serve` runs the `pim-serve` scheduler (the harness worker pool,
+//! per-client quotas via `--quota`/`--queue-depth`, wall/watchdog
+//! supervision, journal-backed crash recovery) with this crate's
+//! catalog. `--connect` submits all 23 experiments as jobs and prints
+//! stdout byte-identical to the default in-process run — even when the
+//! server was SIGKILLed and restarted mid-sweep, because submissions are
+//! idempotent and finished jobs replay from the journal. `--drain` asks
+//! the server to shut down gracefully once the results are in.
 
 use std::path::Path;
 use std::process::ExitCode;

@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use pim_core::DmpimError;
-use pim_harness::{FailureSummary, FsyncPolicy, JobResult};
+use pim_harness::{FailureSummary, FsyncPolicy, HarnessPolicy, JobResult};
 use pim_serve::{
     signal, Client, QuotaPolicy, Scheduler, Resolver, ServeError, ServePolicy, Server,
     ShutdownMode,
@@ -90,13 +90,15 @@ fn server_tracer() -> Tracer {
 pub fn run_server(opts: &ServeOptions) -> Result<(), ServeError> {
     signal::install();
     let policy = ServePolicy {
-        workers: opts.workers.max(1),
+        harness: HarnessPolicy {
+            workers: opts.workers.max(1),
+            fsync: opts.fsync,
+            ..ServePolicy::default().harness
+        },
         quota: QuotaPolicy {
             max_in_flight_per_client: opts.quota,
             max_queue_depth: opts.queue_depth,
         },
-        fsync: opts.fsync,
-        ..ServePolicy::default()
     };
     let tracer = server_tracer();
     let scheduler = Arc::new(Scheduler::start(
@@ -238,7 +240,10 @@ mod tests {
             .collect();
         let tracer = Tracer::new();
         let s = Scheduler::start(
-            ServePolicy { workers: 2, ..ServePolicy::default() },
+            ServePolicy {
+                harness: HarnessPolicy { workers: 2, ..ServePolicy::default().harness },
+                ..ServePolicy::default()
+            },
             resolver(),
             tracer.clone(),
             None,
@@ -287,12 +292,14 @@ mod tests {
     fn a_server_session_leaves_no_per_job_trace_state() {
         // A long session on the server's tracer must not grow an event
         // buffer or a track table, and once both kernels have run it
-        // books under no new metric names. One worker, so no steal can
-        // add `serve.steals` to the names mid-session.
+        // books under no new metric names.
         let tracer = server_tracer();
         let unlimited = QuotaPolicy { max_in_flight_per_client: 0, max_queue_depth: 0 };
         let s = Scheduler::start(
-            ServePolicy { workers: 1, quota: unlimited, ..ServePolicy::default() },
+            ServePolicy {
+                harness: HarnessPolicy { workers: 1, ..ServePolicy::default().harness },
+                quota: unlimited,
+            },
             resolver(),
             tracer.clone(),
             None,
@@ -333,7 +340,10 @@ mod tests {
         // Full loop through the scheduler (no TCP): the served payload
         // must equal the direct call exactly.
         let s = Scheduler::start(
-            ServePolicy { workers: 2, ..ServePolicy::default() },
+            ServePolicy {
+                harness: HarnessPolicy { workers: 2, ..ServePolicy::default().harness },
+                ..ServePolicy::default()
+            },
             resolver(),
             Tracer::disabled(),
             None,

@@ -16,10 +16,10 @@
 //! families and kill points.
 
 use std::fs::File;
-use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use pim_chaos::{ChaosConfig, ChaosFile, ChaosPlan};
+use pim_harness::journal::replace_atomically;
 use pim_harness::JournalSink;
 use pim_trace::JsonValue;
 
@@ -335,32 +335,20 @@ pub fn write_checkpoint(
     chaos: Option<(ChaosConfig, u64)>,
     write_idx: u64,
 ) -> Result<(), FleetError> {
-    let tmp = PathBuf::from(format!("{}.tmp", path.display()));
-    let io_err = |p: &Path, e: &std::io::Error| FleetError::Io {
-        path: p.display().to_string(),
-        detail: e.to_string(),
-    };
     let mut text = state.to_json_value().render();
     text.push('\n');
-    {
-        let mut sink: Box<dyn JournalSink> = match chaos {
-            Some((cfg, seed)) => Box::new(
-                ChaosFile::create(&tmp, ChaosPlan::fork(cfg, seed, write_idx))
-                    .map_err(|e| io_err(&tmp, &e))?,
-            ),
-            None => Box::new(File::create(&tmp).map_err(|e| io_err(&tmp, &e))?),
-        };
-        sink.write_all(text.as_bytes()).map_err(|e| io_err(&tmp, &e))?;
-        sink.sync_all().map_err(|e| io_err(&tmp, &e))?;
-    }
-    std::fs::rename(&tmp, path).map_err(|e| io_err(path, &e))?;
-    // Make the rename itself durable where the platform allows it.
-    if let Some(dir) = path.parent() {
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
+    replace_atomically(path, text.as_bytes(), |tmp| -> std::io::Result<Box<dyn JournalSink>> {
+        Ok(match chaos {
+            Some((cfg, seed)) => {
+                Box::new(ChaosFile::create(tmp, ChaosPlan::fork(cfg, seed, write_idx))?)
+            }
+            None => Box::new(File::create(tmp)?),
+        })
+    })
+    .map_err(|(failed, e)| FleetError::Io {
+        path: failed.display().to_string(),
+        detail: e.to_string(),
+    })
 }
 
 /// Load the checkpoint at `path` for the sweep identified by `expect`.
@@ -385,6 +373,8 @@ pub fn load_checkpoint(path: &Path, expect: &SweepKey) -> Result<Option<FleetSta
 
 #[cfg(test)]
 mod tests {
+    use std::path::PathBuf;
+
     use super::*;
 
     fn temp_path(name: &str) -> PathBuf {

@@ -251,7 +251,7 @@ const RETRY_WASTE: f64 = 2.0;
 /// PIM path streams the full traffic through the stack — so a large LLC
 /// plus cheap LPDDR4 bits shrinks PIM's movement win — and offload
 /// attempts that *fault* (per [`FaultClass`]) burn PIM energy
-/// ([`RETRY_WASTE`]×) before falling back to the CPU.
+/// (`RETRY_WASTE`×) before falling back to the CPU.
 ///
 /// Deterministic: a pure function of the profile and the (fixed)
 /// [`EnergyParams`], evaluated in one stable expression order.

@@ -127,8 +127,8 @@ impl JournalSink for Vec<u8> {}
 /// Guarantees, even over a faulty sink:
 ///
 /// * transient stalls (`Interrupted`, `WouldBlock`, `Ok(0)` short writes)
-///   are retried in place up to [`MAX_TRANSIENT_RETRIES`] — a record either
-///   lands complete or the call errors;
+///   are retried in place up to `MAX_TRANSIENT_RETRIES` (64) — a record
+///   either lands complete or the call errors;
 /// * after a failed record (torn write, disk full, …) the writer is
 ///   *dirty*: the next successful write emits a leading guard newline so
 ///   the stranded fragment sits alone on a line the corruption-tolerant
@@ -297,30 +297,46 @@ impl JournalWriter {
 }
 
 /// Rewrite a damaged journal atomically, healing it for future resumes:
-/// a fresh header plus one intact line per restored record, written to
-/// `<path>.tmp`, synced, then renamed over the original. Corrupt debris,
-/// duplicate records, and torn fragments disappear; surviving records are
-/// re-rendered byte-identically (the record codec round-trips).
+/// a fresh header plus one intact line per restored record, put in place
+/// by [`replace_atomically`]. Corrupt debris, duplicate records, and torn
+/// fragments disappear; surviving records are re-rendered byte-identically
+/// (the record codec round-trips).
 pub fn compact_journal(
     path: &Path,
     state: &JournalState,
     jobs: usize,
 ) -> Result<(), HarnessError> {
-    let tmp = PathBuf::from(format!("{}.tmp", path.display()));
-    let io_err = |e: &io::Error| HarnessError::io(&tmp, e);
-    {
-        let mut file = File::create(&tmp).map_err(|e| io_err(&e))?;
-        let mut text =
-            format!("{{\"journal\":\"{MAGIC}\",\"version\":{VERSION},\"jobs\":{jobs}}}\n");
-        for r in state.completed.values() {
-            text.push_str(&record_line(r));
-            text.push('\n');
-        }
-        file.write_all(text.as_bytes()).map_err(|e| io_err(&e))?;
-        file.sync_all().map_err(|e| io_err(&e))?;
+    let mut text = format!("{{\"journal\":\"{MAGIC}\",\"version\":{VERSION},\"jobs\":{jobs}}}\n");
+    for r in state.completed.values() {
+        text.push_str(&record_line(r));
+        text.push('\n');
     }
-    std::fs::rename(&tmp, path).map_err(|e| HarnessError::io(path, &e))?;
-    // Make the rename itself durable where the platform allows it.
+    replace_atomically(path, text.as_bytes(), |tmp| {
+        Ok(Box::new(File::create(tmp)?))
+    })
+    .map_err(|(failed, e)| HarnessError::io(&failed, &e))
+}
+
+/// Atomically replace the file at `path` with `bytes`: write them to
+/// `<path>.tmp` through the sink `create_tmp` opens there, sync it,
+/// rename it over `path`, then sync the directory so the rename itself
+/// is durable where the platform allows it. A failure at any step leaves
+/// the previous file intact. The error carries the path that failed: the
+/// tmp file for the write and sync, `path` for the rename.
+pub fn replace_atomically(
+    path: &Path,
+    bytes: &[u8],
+    create_tmp: impl FnOnce(&Path) -> io::Result<Box<dyn JournalSink>>,
+) -> Result<(), (PathBuf, io::Error)> {
+    let tmp = PathBuf::from(format!("{}.tmp", path.display()));
+    let written = create_tmp(&tmp).and_then(|mut sink| {
+        sink.write_all(bytes)?;
+        sink.sync_all()
+    });
+    if let Err(e) = written {
+        return Err((tmp, e));
+    }
+    std::fs::rename(&tmp, path).map_err(|e| (path.to_path_buf(), e))?;
     if let Some(dir) = path.parent() {
         if let Ok(d) = File::open(dir) {
             let _ = d.sync_all();

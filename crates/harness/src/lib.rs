@@ -6,9 +6,10 @@
 //! hundreds of jobs, and a killed sweep must not restart from zero. This
 //! crate supplies that layer with nothing beyond `std`:
 //!
-//! * **Isolation** — a fixed pool of worker threads runs each [`Job`]
-//!   under `catch_unwind`; a panic becomes a typed
-//!   [`JobFailure::Panicked`] in the failure report.
+//! * **Isolation** — a fixed [`pool`] of worker threads runs each
+//!   [`Job`] under `catch_unwind`; a panic becomes a typed
+//!   [`JobFailure::Panicked`] in the failure report. The same pool, with
+//!   its two [`Priority`] lanes, runs `pim-serve`'s jobs.
 //! * **Supervision** — per-attempt wall-clock deadlines abandon stuck
 //!   workers, and the simulated-time [`pim_faults::Watchdog`] is threaded
 //!   to every job so runaway simulations trip
@@ -38,11 +39,13 @@
 
 pub mod job;
 pub mod journal;
+pub mod pool;
 pub mod report;
 pub mod supervisor;
 
 pub use job::{Job, JobCtx, JobFailure, JobResult, JobStatus};
 pub use journal::{FsyncPolicy, JournalSink, RecordWriter};
+pub use pool::Priority;
 pub use report::{FailureSummary, SweepReport};
 pub use supervisor::{Harness, HarnessError, HarnessPolicy};
 

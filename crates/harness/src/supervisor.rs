@@ -1,33 +1,25 @@
-//! The supervised worker pool.
+//! The sweep runner: one fixed sweep on the supervised [`pool`], run to
+//! completion.
 //!
-//! A fixed pool of `std::thread` workers pops attempts from a shared
-//! queue and runs each job closure under `catch_unwind`. The supervisor
-//! thread (the caller of [`Harness::run`]) multiplexes worker completion
-//! messages against wall-clock deadlines and delayed retries:
+//! The caller of [`Harness::run`] is the pool's supervisor: it steps the
+//! pool until every job is terminal (see [`crate::pool`] for the retry
+//! and quarantine taxonomy), journaling each terminal result as it
+//! lands, so a killed sweep resumes from its journal re-running only
+//! unfinished jobs.
 //!
-//! * a panic becomes [`JobFailure::Panicked`] — the worker survives;
-//! * a wall-deadline overrun abandons the stuck worker (std threads
-//!   cannot be killed; the worker is left to finish or leak and a
-//!   replacement is spawned) and counts as a timeout strike;
-//! * timeout-class failures (wall or simulated watchdog) retry with
-//!   capped exponential backoff until the strike limit quarantines the
-//!   job; transient simulation faults retry up to `max_retries`;
-//! * every terminal result is journaled immediately, so a killed sweep
-//!   resumes from its journal re-running only unfinished jobs.
+//! [`pool`]: crate::pool
 
-use std::collections::{HashMap, HashSet, VecDeque};
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::collections::HashSet;
 use std::path::{Path, PathBuf};
-use std::sync::mpsc::{RecvTimeoutError, Sender};
-use std::sync::{Arc, Condvar, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use pim_chaos::ChaosConfig;
 use pim_faults::Watchdog;
 use pim_trace::Tracer;
 
-use crate::job::{Job, JobCtx, JobFailure, JobResult, JobStatus};
+use crate::job::{Job, JobResult};
 use crate::journal::{compact_journal, read_journal, FsyncPolicy, JournalWriter};
+use crate::pool::{Event, Pool, Priority};
 use crate::report::SweepReport;
 
 /// Retry, quarantine, deadline, and parallelism policy for one sweep.
@@ -46,7 +38,8 @@ pub struct HarnessPolicy {
     pub backoff_cap: Duration,
     /// Per-attempt wall-clock deadline; `None` disables wall supervision.
     pub wall_deadline: Option<Duration>,
-    /// Simulated-time watchdog handed to every job via [`JobCtx`].
+    /// Simulated-time watchdog handed to every job via
+    /// [`JobCtx`](crate::JobCtx).
     pub watchdog: Watchdog,
     /// Journal durability: when to force record bytes to stable storage.
     pub fsync: FsyncPolicy,
@@ -267,15 +260,14 @@ impl Harness {
         // counts as dropped from persistence.
         let journal_disabled = self.journal.is_some() && writer.is_none();
 
-        let pending: Vec<usize> =
-            (0..jobs.len()).filter(|&i| slots[i].is_none()).collect();
-        let mut journal_dropped = if pending.is_empty() {
+        let pending = slots.iter().filter(|s| s.is_none()).count();
+        let mut journal_dropped = if pending == 0 {
             0
         } else {
-            self.supervise(&jobs, &pending, &mut slots, writer.as_mut())?
+            self.supervise(jobs, pending, &mut slots, writer.as_mut())
         };
         if journal_disabled {
-            journal_dropped += pending.len();
+            journal_dropped += pending;
         }
         drop(writer);
 
@@ -283,238 +275,38 @@ impl Harness {
         Ok(SweepReport { results, resumed, journal_skipped, journal_dropped })
     }
 
-    /// Run the pending jobs on the pool, filling `slots`. Returns how many
-    /// terminal results could not be journaled (journal degradation: the
-    /// sweep keeps computing; dropped records simply re-run on resume).
+    /// Run every job without a restored result on the pool, supervising
+    /// on the caller's thread, until each has a terminal result in
+    /// `slots`. Returns how many terminal results could not be journaled
+    /// (journal degradation: the sweep keeps computing; dropped records
+    /// simply re-run on resume).
     fn supervise(
         &self,
-        jobs: &[Job],
-        pending: &[usize],
+        jobs: Vec<Job>,
+        pending: usize,
         slots: &mut [Option<JobResult>],
         writer: Option<&mut JournalWriter>,
-    ) -> Result<usize, HarnessError> {
+    ) -> usize {
         let mut writer = JournalLane { writer, dropped: 0, warned: false };
-        let workers = self.policy.workers.max(1).min(pending.len().max(1));
-        let shared = Arc::new(Shared::default());
-        let jobs_arc: Arc<Vec<Job>> = Arc::new(jobs.to_vec());
-        let (tx, rx) = std::sync::mpsc::channel::<Msg>();
-
-        let mut pool = Pool { next_id: 0, handles: HashMap::new() };
-        for _ in 0..workers {
-            pool.spawn(&jobs_arc, &shared, &tx, &self.tracer, self.policy.watchdog);
-        }
-
-        // Per-job supervision state, keyed by job index.
-        let mut state: HashMap<usize, Supervision> =
-            pending.iter().map(|&i| (i, Supervision::default())).collect();
-        let mut outstanding: HashMap<usize, Outstanding> = HashMap::new();
-        let mut delayed: Vec<(Instant, Attempt)> = Vec::new();
-        let mut remaining = pending.len();
-
-        // Initial dispatch in input order.
-        {
-            let mut q = shared.queue.lock().expect("queue poisoned");
-            for &idx in pending {
-                q.ready.push_back(Attempt { job_idx: idx, attempt: 1 });
-                outstanding
-                    .insert(idx, Outstanding { attempt: 1, worker: None, deadline: None });
+        let policy =
+            HarnessPolicy { workers: self.policy.workers.max(1).min(pending), ..self.policy.clone() };
+        let (mut pool, submitter) = Pool::start(&policy, &self.tracer);
+        // Dispatch in input order.
+        for (slot, job) in jobs.into_iter().enumerate() {
+            if slots[slot].is_none() {
+                submitter.push(slot, job, Priority::Normal);
             }
-            shared.cv.notify_all();
         }
-
-        while remaining > 0 {
-            // Promote due retries.
-            let now = Instant::now();
-            let mut promoted = false;
-            delayed.retain(|(due, att)| {
-                if *due <= now {
-                    let mut q = shared.queue.lock().expect("queue poisoned");
-                    q.ready.push_back(*att);
-                    promoted = true;
-                    false
-                } else {
-                    true
-                }
-            });
-            if promoted {
-                shared.cv.notify_all();
-            }
-
-            // Sleep until the next message, deadline, or retry due time.
-            let next_deadline = outstanding
-                .values()
-                .filter_map(|o| o.deadline)
-                .chain(delayed.iter().map(|(due, _)| *due))
-                .min();
-            let msg = match next_deadline {
-                Some(at) => {
-                    let wait = at.saturating_duration_since(Instant::now());
-                    match rx.recv_timeout(wait.max(Duration::from_millis(1))) {
-                        Ok(m) => Some(m),
-                        Err(RecvTimeoutError::Timeout) => None,
-                        Err(RecvTimeoutError::Disconnected) => break,
-                    }
-                }
-                None => match rx.recv() {
-                    Ok(m) => Some(m),
-                    Err(_) => break,
-                },
-            };
-
-            match msg {
-                Some(Msg::Started { worker, job_idx, attempt }) => {
-                    // The deadline clock starts when a worker actually
-                    // picks the attempt up, not while it sits queued.
-                    if let Some(o) = outstanding.get_mut(&job_idx) {
-                        if o.attempt == attempt {
-                            o.worker = Some(worker);
-                            o.deadline =
-                                self.policy.wall_deadline.map(|d| Instant::now() + d);
-                        }
-                    }
-                }
-                Some(Msg::Done { job_idx, attempt, outcome, .. }) => {
-                    let current = outstanding.get(&job_idx).map(|o| o.attempt);
-                    if current != Some(attempt) {
-                        // Stale completion from an abandoned worker whose
-                        // attempt was already written off.
-                        continue;
-                    }
-                    outstanding.remove(&job_idx);
-                    let st = state.get_mut(&job_idx).expect("supervised job");
-                    match outcome {
-                        Ok(output) => {
-                            let r = JobResult::ok(jobs[job_idx].id.clone(), attempt, output)
-                                .with_seed(jobs[job_idx].seed);
-                            writer.record(&r);
-                            slots[job_idx] = Some(r);
-                            remaining -= 1;
-                        }
-                        Err(failure) => {
-                            match self.disposition(st, &failure) {
-                                Disposition::Retry(delay) => {
-                                    let next = Attempt { job_idx, attempt: attempt + 1 };
-                                    outstanding.insert(
-                                        job_idx,
-                                        Outstanding {
-                                            attempt: attempt + 1,
-                                            worker: None,
-                                            deadline: None,
-                                        },
-                                    );
-                                    delayed.push((Instant::now() + delay, next));
-                                }
-                                Disposition::Terminal(status) => {
-                                    let r = JobResult::failed(
-                                        jobs[job_idx].id.clone(),
-                                        status,
-                                        attempt,
-                                        &failure,
-                                    )
-                                    .with_seed(jobs[job_idx].seed);
-                                    writer.record(&r);
-                                    slots[job_idx] = Some(r);
-                                    remaining -= 1;
-                                }
-                            }
-                        }
-                    }
-                }
-                None => {
-                    // A deadline or retry timer fired. Handle expired
-                    // wall deadlines: abandon the stuck worker, spawn a
-                    // replacement, and treat the attempt as a WallTimeout.
-                    let now = Instant::now();
-                    let expired: Vec<usize> = outstanding
-                        .iter()
-                        .filter(|(_, o)| o.deadline.is_some_and(|d| d <= now))
-                        .map(|(&idx, _)| idx)
-                        .collect();
-                    for job_idx in expired {
-                        let Some(o) = outstanding.remove(&job_idx) else { continue };
-                        let attempt = o.attempt;
-                        if let Some(w) = o.worker {
-                            // Flag the stuck worker to retire when (if)
-                            // it ever finishes, detach its handle, and
-                            // keep the pool at strength.
-                            pool.abandon(&shared, w);
-                            pool.spawn(
-                                &jobs_arc,
-                                &shared,
-                                &tx,
-                                &self.tracer,
-                                self.policy.watchdog,
-                            );
-                        }
-                        let limit_ms = self
-                            .policy
-                            .wall_deadline
-                            .map_or(0, |d| d.as_millis() as u64);
-                        let failure = JobFailure::WallTimeout { limit_ms };
-                        let st = state.get_mut(&job_idx).expect("supervised job");
-                        match self.disposition(st, &failure) {
-                            Disposition::Retry(delay) => {
-                                outstanding.insert(
-                                    job_idx,
-                                    Outstanding {
-                                        attempt: attempt + 1,
-                                        worker: None,
-                                        deadline: None,
-                                    },
-                                );
-                                delayed.push((
-                                    Instant::now() + delay,
-                                    Attempt { job_idx, attempt: attempt + 1 },
-                                ));
-                            }
-                            Disposition::Terminal(status) => {
-                                let r = JobResult::failed(
-                                    jobs[job_idx].id.clone(),
-                                    status,
-                                    attempt,
-                                    &failure,
-                                )
-                                .with_seed(jobs[job_idx].seed);
-                                writer.record(&r);
-                                slots[job_idx] = Some(r);
-                                remaining -= 1;
-                            }
-                        }
-                    }
+        while !pool.idle() {
+            for event in pool.step(Duration::MAX) {
+                if let Event::Done(slot, result) = event {
+                    writer.record(&result);
+                    slots[slot] = Some(result);
                 }
             }
         }
-
-        // Shut the pool down; abandoned workers are detached, not joined.
-        {
-            let mut q = shared.queue.lock().expect("queue poisoned");
-            q.shutdown = true;
-            shared.cv.notify_all();
-        }
-        drop(rx);
-        pool.join_live();
-        Ok(writer.dropped)
-    }
-
-    /// Decide what to do with a failed attempt.
-    fn disposition(&self, st: &mut Supervision, failure: &JobFailure) -> Disposition {
-        if failure.is_timeout() {
-            st.strikes += 1;
-            if st.strikes >= self.policy.quarantine_strikes {
-                return Disposition::Terminal(JobStatus::Quarantined);
-            }
-            return Disposition::Retry(self.policy.backoff_for(st.strikes));
-        }
-        if failure.is_transient() {
-            st.transient_retries += 1;
-            if st.transient_retries > self.policy.max_retries {
-                return Disposition::Terminal(JobStatus::Failed);
-            }
-            return Disposition::Retry(self.policy.backoff_for(st.transient_retries));
-        }
-        // Panics and persistent errors (invalid config, unrecoverable
-        // faults, …) are deterministic: retrying cannot help.
-        Disposition::Terminal(JobStatus::Failed)
+        pool.stop(true);
+        writer.dropped
     }
 }
 
@@ -541,168 +333,6 @@ impl JournalLane<'_> {
                 }
             }
         }
-    }
-}
-
-#[derive(Debug, Clone, Copy)]
-struct Attempt {
-    job_idx: usize,
-    attempt: u32,
-}
-
-#[derive(Debug)]
-struct Outstanding {
-    attempt: u32,
-    /// Worker currently executing the attempt (set on `Started`).
-    worker: Option<usize>,
-    deadline: Option<Instant>,
-}
-
-#[derive(Debug, Default)]
-struct Supervision {
-    strikes: u32,
-    transient_retries: u32,
-}
-
-enum Disposition {
-    Retry(Duration),
-    Terminal(JobStatus),
-}
-
-enum Msg {
-    Started { worker: usize, job_idx: usize, attempt: u32 },
-    Done { job_idx: usize, attempt: u32, outcome: Result<String, JobFailure> },
-}
-
-#[derive(Default)]
-struct Shared {
-    queue: Mutex<QueueState>,
-    cv: Condvar,
-}
-
-#[derive(Default)]
-struct QueueState {
-    ready: VecDeque<Attempt>,
-    /// Worker ids told to retire at their next queue interaction.
-    abandoned: HashSet<usize>,
-    shutdown: bool,
-}
-
-struct Pool {
-    next_id: usize,
-    handles: HashMap<usize, std::thread::JoinHandle<()>>,
-}
-
-impl Pool {
-    fn spawn(
-        &mut self,
-        jobs: &Arc<Vec<Job>>,
-        shared: &Arc<Shared>,
-        tx: &Sender<Msg>,
-        tracer: &Tracer,
-        watchdog: Watchdog,
-    ) {
-        let id = self.next_id;
-        self.next_id += 1;
-        let jobs = Arc::clone(jobs);
-        let shared = Arc::clone(shared);
-        let tx = tx.clone();
-        let tracer = tracer.clone();
-        let handle = std::thread::Builder::new()
-            .name(format!("pim-harness-worker-{id}"))
-            .spawn(move || worker_loop(id, &jobs, &shared, &tx, &tracer, watchdog))
-            .expect("spawn worker thread");
-        self.handles.insert(id, handle);
-    }
-
-    /// Flag a stuck worker to retire at its next queue interaction and
-    /// detach its handle. std threads cannot be killed: a worker hung
-    /// forever in a job simply leaks until process exit, which is why
-    /// [`Pool::join_live`] must not wait on it.
-    fn abandon(&mut self, shared: &Arc<Shared>, worker: usize) {
-        {
-            let mut q = shared.queue.lock().expect("queue poisoned");
-            q.abandoned.insert(worker);
-        }
-        self.handles.remove(&worker);
-    }
-
-    fn join_live(self) {
-        for (_, h) in self.handles {
-            // Worker threads never panic (jobs run under catch_unwind);
-            // join errors could only come from external thread death.
-            let _ = h.join();
-        }
-    }
-}
-
-fn worker_loop(
-    id: usize,
-    jobs: &Arc<Vec<Job>>,
-    shared: &Arc<Shared>,
-    tx: &Sender<Msg>,
-    tracer: &Tracer,
-    watchdog: Watchdog,
-) {
-    loop {
-        let task = {
-            let mut q = shared.queue.lock().expect("queue poisoned");
-            loop {
-                if q.abandoned.remove(&id) {
-                    return;
-                }
-                if let Some(t) = q.ready.pop_front() {
-                    break t;
-                }
-                if q.shutdown {
-                    return;
-                }
-                q = shared.cv.wait(q).expect("queue poisoned");
-            }
-        };
-
-        let job = &jobs[task.job_idx];
-        if tx
-            .send(Msg::Started { worker: id, job_idx: task.job_idx, attempt: task.attempt })
-            .is_err()
-        {
-            return;
-        }
-        let track = tracer.track(&format!("job:{}", job.id));
-        let ctx = JobCtx {
-            job_id: job.id.clone(),
-            attempt: task.attempt,
-            tracer: tracer.clone(),
-            track,
-            watchdog,
-        };
-        let run = Arc::clone(&job.run);
-        let outcome = match catch_unwind(AssertUnwindSafe(|| run(&ctx))) {
-            Ok(Ok(payload)) => Ok(payload),
-            Ok(Err(e)) => Err(JobFailure::Sim(e)),
-            Err(panic) => Err(JobFailure::Panicked { message: panic_message(&*panic) }),
-        };
-        if tx
-            .send(Msg::Done { job_idx: task.job_idx, attempt: task.attempt, outcome })
-            .is_err()
-        {
-            return;
-        }
-
-        // If the supervisor wrote this attempt off and abandoned us while
-        // we were stuck in it, the top-of-loop check retires this worker:
-        // a replacement already took our place.
-    }
-}
-
-/// Render a caught panic payload as text.
-fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 

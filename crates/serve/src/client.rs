@@ -24,9 +24,8 @@ use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
 use pim_chaos::{ChaosConfig, ChaosPlan, ChaosReader, ChaosWriter};
-use pim_harness::JobResult;
+use pim_harness::{JobResult, Priority};
 
-use crate::deque::Priority;
 use crate::protocol::{Request, Response, ShutdownMode, Stats, PROTOCOL_VERSION};
 use crate::ServeError;
 

@@ -7,21 +7,21 @@
 //! jobs from many concurrent clients and scheduling them over a shared
 //! worker pool. The robustness story, end to end:
 //!
-//! * **Work stealing** ([`deque`], [`scheduler`]) — each worker owns a
-//!   bounded Chase–Lev-style deque; a global injector feeds bursts in
-//!   amortized batches and idle workers steal from loaded siblings, so
-//!   one slow client cannot leave cores idle.
-//! * **Priority classes** ([`deque`]) — each submission carries a typed
-//!   `priority` (`high` | `normal`); the injector keeps one lane per
-//!   class, draining `high` first with a fairness stride that serves the
-//!   normal lane every few dequeues, so interactive probes overtake bulk
-//!   sweeps without ever starving them. Retries and journal recovery
-//!   preserve a job's class.
+//! * **One worker pool** ([`scheduler`]) — jobs run on
+//!   [`pim_harness::pool`], the pool every `repro` sweep runs on; the
+//!   scheduler adds only what a service needs beyond a sweep: admission,
+//!   the write-ahead journal, the job table and its waiters, and `stats`.
+//! * **Priority classes** ([`Priority`]) — each submission carries a
+//!   typed `priority` (`high` | `normal`); the pool's queue keeps one
+//!   lane per class, draining `high` first with a fairness stride that
+//!   serves the normal lane every few dequeues, so interactive probes
+//!   overtake bulk sweeps without ever starving them. Retries and journal
+//!   recovery preserve a job's class.
 //! * **Admission control** ([`quota`]) — per-client in-flight quotas and
 //!   a global queue bound; an overloaded server answers a typed
 //!   `overloaded` rejection immediately instead of hanging or growing
 //!   without bound.
-//! * **Supervision** ([`scheduler`]) — per-job wall-clock deadlines
+//! * **Supervision** (the pool's) — per-job wall-clock deadlines
 //!   abandon stuck workers (replacements keep the pool at strength) and
 //!   the simulated-time watchdog bounds runaway simulations; the failure
 //!   taxonomy (retry with capped backoff, quarantine after timeout
@@ -36,7 +36,7 @@
 //!   flight, and exits with zero journal loss.
 //! * **Observability** ([`server`]) — an HTTP `GET /metrics` on the same
 //!   port serves the live `pim-trace` metrics registry: queue depths,
-//!   steal counts, quota state, quarantine counts.
+//!   quota state, retry and quarantine counts.
 //!
 //! The scheduler resolves job specs through a caller-provided
 //! [`Resolver`], so this crate knows nothing about the bench catalog —
@@ -44,7 +44,6 @@
 //! real simulations.
 
 pub mod client;
-pub mod deque;
 pub mod protocol;
 pub mod quota;
 pub mod recovery;
@@ -53,7 +52,7 @@ pub mod server;
 pub mod signal;
 
 pub use client::{Client, ClientConfig};
-pub use deque::Priority;
+pub use pim_harness::Priority;
 pub use protocol::{Reject, RejectKind, Request, Response, ShutdownMode, Stats};
 pub use quota::QuotaPolicy;
 pub use scheduler::{Resolver, Scheduler, ServePolicy, SubmitOutcome, WaitOutcome};

@@ -30,10 +30,8 @@
 //! same document for scrape tooling.
 
 use pim_harness::journal::{parse_flat_object, parse_result_line, record_line, Field};
-use pim_harness::JobResult;
+use pim_harness::{JobResult, Priority};
 use pim_trace::json::write_escaped;
-
-use crate::deque::Priority;
 
 /// Wire protocol version, negotiated in the `hello` exchange.
 pub const PROTOCOL_VERSION: u64 = 1;
@@ -282,7 +280,8 @@ pub struct Stats {
     pub retries: u64,
     /// Typed `overloaded` rejections returned.
     pub overloaded: u64,
-    /// Tasks taken from a sibling worker's deque.
+    /// Always 0: the pool's workers share one queue and steal nothing.
+    /// Kept on the wire because existing clients parse it.
     pub steals: u64,
     /// Jobs admitted but not yet terminal.
     pub in_flight: u64,

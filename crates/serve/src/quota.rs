@@ -2,7 +2,7 @@
 //!
 //! Every admission decision is made *before* anything is journaled or
 //! enqueued, and every refusal is a typed
-//! [`Reject`](crate::protocol::Reject) — an overloaded server answers
+//! [`Reject`] — an overloaded server answers
 //! `overloaded` immediately instead of stalling the client or growing an
 //! unbounded queue. Two limits apply, checked in order:
 //!

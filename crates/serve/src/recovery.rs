@@ -26,13 +26,14 @@
 
 use std::collections::BTreeMap;
 use std::fs::File;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use pim_harness::journal::{parse_flat_object, parse_result_line, record_line, Field};
-use pim_harness::{FsyncPolicy, JobResult, JournalSink, RecordWriter};
+use pim_harness::journal::{
+    parse_flat_object, parse_result_line, record_line, replace_atomically, Field,
+};
+use pim_harness::{FsyncPolicy, JobResult, JournalSink, Priority, RecordWriter};
 use pim_trace::json::write_escaped;
 
-use crate::deque::Priority;
 use crate::ServeError;
 
 /// Magic name in the header line.
@@ -185,10 +186,9 @@ impl ServeJournal {
 /// Rewrite a damaged journal from its recovered state: header, then each
 /// surviving submission (synthesized orphans excepted — their marker is
 /// the *absence* of a submission line) followed by its result. The new
-/// file is synced and renamed over the old one, so a crash mid-compaction
-/// leaves either the old journal or the new one, never a mix.
+/// file replaces the old one atomically, so a crash mid-compaction leaves
+/// either the old journal or the new one, never a mix.
 fn compact_serve_journal(path: &Path, state: &RecoveredState) -> std::io::Result<()> {
-    let tmp = PathBuf::from(format!("{}.tmp", path.display()));
     let mut text = header_line();
     text.push('\n');
     for sub in &state.submissions {
@@ -202,15 +202,10 @@ fn compact_serve_journal(path: &Path, state: &RecoveredState) -> std::io::Result
             text.push('\n');
         }
     }
-    std::fs::write(&tmp, text.as_bytes())?;
-    File::open(&tmp)?.sync_all()?;
-    std::fs::rename(&tmp, path)?;
-    if let Some(dir) = path.parent() {
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
-    Ok(())
+    replace_atomically(path, text.as_bytes(), |tmp| {
+        Ok(Box::new(File::create(tmp)?))
+    })
+    .map_err(|(_, e)| e)
 }
 
 /// Replay a server journal.
@@ -305,6 +300,7 @@ fn parse_submission_line(line: &str) -> Option<Submission> {
 mod tests {
     use std::fs::OpenOptions;
     use std::io::Write;
+    use std::path::PathBuf;
 
     use pim_harness::JobStatus;
 

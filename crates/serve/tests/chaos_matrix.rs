@@ -25,7 +25,7 @@ use std::time::Duration;
 use pim_chaos::{ChaosConfig, ChaosFile, ChaosPlan};
 use pim_faults::DmpimError;
 use pim_harness::journal::record_line;
-use pim_harness::FsyncPolicy;
+use pim_harness::{FsyncPolicy, HarnessPolicy};
 use pim_serve::recovery::{RecoveredState, ServeJournal};
 use pim_serve::{Client, ClientConfig, Resolver, Scheduler, ServeError, ServePolicy, Server};
 use pim_trace::Tracer;
@@ -50,9 +50,12 @@ fn square_resolver() -> Resolver {
 
 fn quick_policy() -> ServePolicy {
     ServePolicy {
-        workers: 2,
-        retry_backoff: Duration::from_millis(1),
-        fsync: FsyncPolicy::Off,
+        harness: HarnessPolicy {
+            workers: 2,
+            retry_backoff: Duration::from_millis(1),
+            fsync: FsyncPolicy::Off,
+            ..ServePolicy::default().harness
+        },
         ..ServePolicy::default()
     }
 }

@@ -13,7 +13,7 @@ use std::thread;
 use std::time::Duration;
 
 use pim_faults::DmpimError;
-use pim_harness::JobStatus;
+use pim_harness::{HarnessPolicy, JobStatus};
 use pim_serve::{
     Client, QuotaPolicy, RejectKind, Resolver, Scheduler, ServeError, ServePolicy, Server,
     ShutdownMode,
@@ -40,7 +40,14 @@ fn test_resolver() -> Resolver {
 }
 
 fn quick_policy() -> ServePolicy {
-    ServePolicy { workers: 2, retry_backoff: Duration::from_millis(1), ..ServePolicy::default() }
+    ServePolicy {
+        harness: HarnessPolicy {
+            workers: 2,
+            retry_backoff: Duration::from_millis(1),
+            ..ServePolicy::default().harness
+        },
+        ..ServePolicy::default()
+    }
 }
 
 /// Bind a server on an ephemeral port and run it on a background thread.
@@ -304,9 +311,9 @@ fn high_priority_submissions_overtake_queued_normals_over_tcp() {
 
     use pim_serve::Priority;
 
-    // A resolver that records completion order. One worker and a refill
-    // batch of 1 make execution strictly serial in injector dequeue
-    // order, so the recorded order IS the queueing decision.
+    // A resolver that records completion order. One worker makes
+    // execution strictly serial in queue order, so the recorded order IS
+    // the queueing decision.
     let order: Arc<Mutex<Vec<String>>> = Arc::new(Mutex::new(Vec::new()));
     let o = Arc::clone(&order);
     let resolver: Resolver = Arc::new(move |spec: &str, _ctx| {
@@ -316,7 +323,10 @@ fn high_priority_submissions_overtake_queued_normals_over_tcp() {
         o.lock().unwrap().push(spec.to_string());
         Ok(spec.to_string())
     });
-    let policy = ServePolicy { workers: 1, refill_batch: 1, ..quick_policy() };
+    let policy = ServePolicy {
+        harness: HarnessPolicy { workers: 1, ..quick_policy().harness },
+        ..quick_policy()
+    };
     let tracer = Tracer::new();
     let scheduler = Arc::new(Scheduler::start(policy, resolver, tracer.clone(), None).unwrap());
     let server = Server::bind("127.0.0.1:0", Arc::clone(&scheduler), tracer).unwrap();

@@ -3,8 +3,9 @@
 //! The output loads in `chrome://tracing` and in Perfetto's legacy-trace
 //! importer (<https://ui.perfetto.dev>). Layout choices:
 //!
-//! * one process (`pid` 0) named `dmpim`, one "thread" per [`TrackId`]
-//!   (named via `thread_name` metadata events, ordered by registration),
+//! * one process (`pid` 0) named `dmpim`, one "thread" per
+//!   [`TrackId`](crate::TrackId) (named via `thread_name` metadata events,
+//!   ordered by registration),
 //! * spans are `ph: "X"` complete events, markers are thread-scoped
 //!   `ph: "i"` instants,
 //! * timestamps are microseconds per the spec; the simulated picosecond

@@ -3,8 +3,8 @@
 #
 #   scripts/check.sh
 #
-# Runs the release build, the full test suite, and clippy with warnings
-# promoted to errors. Fails fast on the first broken step.
+# Runs the release build, the full test suite, clippy and rustdoc with
+# warnings promoted to errors. Fails fast on the first broken step.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -20,6 +20,11 @@ PIM_CHAOS_SEEDS="${PIM_CHAOS_SEEDS:-8}" cargo test --workspace -q
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> cargo doc --workspace --no-deps (rustdoc warnings are errors)"
+# Broken intra-doc links fail here: a deleted module that crate docs
+# still link to, a link to a private item, an unresolved name.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> trace-overhead bench (smoke)"
 # Prints the disabled, metrics-only and enabled tracer overhead, the
