@@ -574,17 +574,6 @@ fn json_scorecard(cli: &Cli, profiler: &pim_obs::Profiler) -> ExitCode {
     let doc = pim_bench::scorecard::to_json_with_harness(&entries, Some(&report));
     println!("{doc}");
     let wall_ms = t0.elapsed().as_millis() as u64;
-    let mut arr = JsonValue::array();
-    for e in &entries {
-        arr = arr.push(
-            JsonValue::object()
-                .set("id", e.id)
-                .set("quantity", e.quantity)
-                .set("paper", e.paper)
-                .set("measured", e.measured)
-                .set("verdict", e.verdict),
-        );
-    }
     // Per-experiment wall times, collected outside the journal so resumed
     // sweeps keep bit-identical results (resumed jobs have no entry here).
     // Aggregated across attempts: a retried job reports total ms + count.
@@ -602,7 +591,7 @@ fn json_scorecard(cli: &Cli, profiler: &pim_obs::Profiler) -> ExitCode {
         .set("source", "dmpim repro --json")
         .set("wall_ms", wall_ms)
         .set("experiments", exps)
-        .set("scorecard", arr)
+        .set("scorecard", pim_bench::scorecard::entries_json(&entries))
         .set("harness", report.to_json_value())
         .render_pretty();
     if let Err(e) = std::fs::write("BENCH_repro.json", bench) {

@@ -327,6 +327,19 @@ pub fn to_json(entries: &[ScorecardEntry]) -> String {
 /// Render entries plus the harness failure report (when the scorecard
 /// was produced by a supervised sweep) as the `repro --json` document.
 pub fn to_json_with_harness(entries: &[ScorecardEntry], harness: Option<&SweepReport>) -> String {
+    let mut doc = JsonValue::object()
+        .set("source", "dmpim repro --json")
+        .set("scorecard", entries_json(entries))
+        .set("scorecard_summary", summary_value(entries));
+    if let Some(report) = harness {
+        doc = doc.set("harness", report.to_json_value());
+    }
+    doc.render_pretty()
+}
+
+/// The `scorecard` array, one object per entry: the same bytes in the
+/// `repro --json` document and in `BENCH_repro.json`.
+pub fn entries_json(entries: &[ScorecardEntry]) -> JsonValue {
     let mut arr = JsonValue::array();
     for e in entries {
         arr = arr.push(
@@ -338,14 +351,7 @@ pub fn to_json_with_harness(entries: &[ScorecardEntry], harness: Option<&SweepRe
                 .set("verdict", e.verdict),
         );
     }
-    let mut doc = JsonValue::object()
-        .set("source", "dmpim repro --json")
-        .set("scorecard", arr)
-        .set("scorecard_summary", summary_value(entries));
-    if let Some(report) = harness {
-        doc = doc.set("harness", report.to_json_value());
-    }
-    doc.render_pretty()
+    arr
 }
 
 /// The `scorecard_summary` block: verdict counts plus the waived

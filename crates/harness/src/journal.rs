@@ -1,8 +1,9 @@
 //! The JSONL job journal behind `--resume`.
 //!
-//! Format: one JSON object per line, written with the same hand-rolled
-//! conventions as `pim_trace::json` (escaping via
-//! [`pim_trace::json::write_escaped`]). The first line is a header:
+//! Format: one JSON object per line, each built as a
+//! [`pim_trace::JsonValue`], written with [`JsonValue::render`] and read
+//! back with [`JsonValue::parse`], the workspace's one JSON codec. The
+//! first line is a header:
 //!
 //! ```text
 //! {"journal":"pim-harness","version":1,"jobs":9}
@@ -32,7 +33,7 @@ use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 use pim_chaos::{ChaosConfig, ChaosFile, ChaosPlan};
-use pim_trace::json::write_escaped;
+use pim_trace::JsonValue;
 
 use crate::job::{JobResult, JobStatus};
 use crate::HarnessError;
@@ -257,8 +258,7 @@ impl JournalWriter {
             None => RecordWriter::create(path, fsync).map_err(|e| HarnessError::io(path, &e))?,
         };
         let mut w = Self { out };
-        let header = format!("{{\"journal\":\"{MAGIC}\",\"version\":{VERSION},\"jobs\":{jobs}}}");
-        w.line(&header)?;
+        w.line(&header_line(jobs))?;
         Ok(w)
     }
 
@@ -306,7 +306,8 @@ pub fn compact_journal(
     state: &JournalState,
     jobs: usize,
 ) -> Result<(), HarnessError> {
-    let mut text = format!("{{\"journal\":\"{MAGIC}\",\"version\":{VERSION},\"jobs\":{jobs}}}\n");
+    let mut text = header_line(jobs);
+    text.push('\n');
     for r in state.completed.values() {
         text.push_str(&record_line(r));
         text.push('\n');
@@ -345,6 +346,11 @@ pub fn replace_atomically(
     Ok(())
 }
 
+/// The header line of a journal for a sweep of `jobs` jobs.
+fn header_line(jobs: usize) -> String {
+    JsonValue::object().set("journal", MAGIC).set("version", VERSION).set("jobs", jobs).render()
+}
+
 /// Render one terminal result as its journal line (no trailing newline).
 ///
 /// Exposed so embedders that keep their own incremental journals — the
@@ -352,35 +358,49 @@ pub fn replace_atomically(
 /// result records — serialize results in exactly the harness's format and
 /// stay readable by [`parse_result_line`].
 pub fn record_line(r: &JobResult) -> String {
-    let mut line = String::from("{\"job\":");
-    write_escaped(&mut line, &r.id);
-    line.push_str(",\"status\":");
-    write_escaped(&mut line, r.status.label());
-    line.push_str(&format!(",\"attempts\":{}", r.attempts));
-    if let Some(label) = &r.error_label {
-        line.push_str(",\"error_label\":");
-        write_escaped(&mut line, label);
-    }
-    if let Some(err) = &r.error {
-        line.push_str(",\"error\":");
-        write_escaped(&mut line, err);
-    }
-    if let Some(out) = &r.output {
-        line.push_str(",\"output\":");
-        write_escaped(&mut line, out);
-    }
-    if let Some(seed) = r.seed {
-        line.push_str(&format!(",\"seed\":{seed}"));
-    }
-    line.push('}');
-    line
+    record_json(JsonValue::object(), r).render()
+}
+
+/// `obj` with the journal record fields of `r` appended. The record
+/// itself starts from an empty object; the `pim-serve` wire's `result`
+/// line starts from its `type` tag, so the two carry the same bytes.
+pub fn record_json(obj: JsonValue, r: &JobResult) -> JsonValue {
+    obj.set("job", r.id.as_str())
+        .set("status", r.status.label())
+        .set("attempts", r.attempts)
+        .set_some("error_label", r.error_label.as_deref())
+        .set_some("error", r.error.as_deref())
+        .set_some("output", r.output.as_deref())
+        .set_some("seed", r.seed)
 }
 
 /// Parse one result line written by [`record_line`] back into a
 /// [`JobResult`]. Returns `None` for anything malformed — truncated
 /// tails, partial lines, non-result records.
 pub fn parse_result_line(line: &str) -> Option<JobResult> {
-    result_from_fields(&parse_flat_object(line)?)
+    result_from_json(&JsonValue::parse(line).ok()?)
+}
+
+/// The [`JobResult`] a parsed record (or `result` wire line) carries;
+/// `None` when a field the record needs is missing or mistyped. Fields
+/// it does not know are ignored.
+pub fn result_from_json(v: &JsonValue) -> Option<JobResult> {
+    let text = |key: &str| v.get(key).and_then(JsonValue::as_str).map(str::to_string);
+    let status = JobStatus::from_label(v.get("status")?.as_str()?)?;
+    let output = text("output");
+    // A succeeded entry must carry its payload; anything else is corrupt.
+    if status == JobStatus::Succeeded && output.is_none() {
+        return None;
+    }
+    Some(JobResult {
+        id: text("job")?,
+        status,
+        attempts: u32::try_from(v.get("attempts")?.as_u64()?).ok()?,
+        output,
+        error_label: text("error_label"),
+        error: text("error"),
+        seed: v.get("seed").and_then(JsonValue::as_u64),
+    })
 }
 
 /// Parsed journal: completed results keyed by job id.
@@ -418,13 +438,15 @@ pub fn read_journal(path: &Path, expected_jobs: usize) -> Result<JournalState, H
     let mut lines = text.lines();
     let header = lines
         .next()
-        .and_then(parse_flat_object)
+        .and_then(|line| JsonValue::parse(line).ok())
         .ok_or_else(|| HarnessError::mismatch(path, "missing or unreadable header line"))?;
-    match (header.get("journal"), header.get("version"), header.get("jobs")) {
-        (Some(Field::Str(m)), Some(Field::Num(v)), Some(Field::Num(jobs)))
-            if m == MAGIC && *v == VERSION =>
-        {
-            if *jobs as usize != expected_jobs {
+    match (
+        header.get("journal").and_then(JsonValue::as_str),
+        header.get("version").and_then(JsonValue::as_u64),
+        header.get("jobs").and_then(JsonValue::as_u64),
+    ) {
+        (Some(MAGIC), Some(VERSION), Some(jobs)) => {
+            if jobs as usize != expected_jobs {
                 return Err(HarnessError::mismatch(
                     path,
                     &format!("journal records {jobs} jobs but this sweep has {expected_jobs}"),
@@ -448,173 +470,6 @@ pub fn read_journal(path: &Path, expected_jobs: usize) -> Result<JournalState, H
         }
     }
     Ok(state)
-}
-
-fn result_from_fields(fields: &BTreeMap<String, Field>) -> Option<JobResult> {
-    let id = match fields.get("job")? {
-        Field::Str(s) => s.clone(),
-        _ => return None,
-    };
-    let status = match fields.get("status")? {
-        Field::Str(s) => JobStatus::from_label(s)?,
-        _ => return None,
-    };
-    let attempts = match fields.get("attempts")? {
-        Field::Num(n) => u32::try_from(*n).ok()?,
-        _ => return None,
-    };
-    let get_str = |key: &str| match fields.get(key) {
-        Some(Field::Str(s)) => Some(s.clone()),
-        _ => None,
-    };
-    let output = get_str("output");
-    // A succeeded entry must carry its payload; anything else is corrupt.
-    if status == JobStatus::Succeeded && output.is_none() {
-        return None;
-    }
-    let seed = match fields.get("seed") {
-        Some(Field::Num(n)) => Some(*n),
-        _ => None,
-    };
-    Some(JobResult {
-        id,
-        status,
-        attempts,
-        output,
-        error_label: get_str("error_label"),
-        error: get_str("error"),
-        seed,
-    })
-}
-
-/// A scalar field of a flat journal object.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Field {
-    /// JSON string (unescaped).
-    Str(String),
-    /// Non-negative integer.
-    Num(u64),
-    /// JSON `null`.
-    Null,
-}
-
-/// Parse one flat JSON object (string / unsigned-integer / null values
-/// only — exactly what the journal writes). JSON whitespace may surround
-/// every token, as a standard encoder's default output has it; the
-/// journal itself is written compact. Returns `None` on any malformation,
-/// including trailing garbage, so truncated lines from a killed process
-/// are rejected rather than half-read.
-pub fn parse_flat_object(line: &str) -> Option<BTreeMap<String, Field>> {
-    let mut chars = line.trim().chars().peekable();
-    let mut fields = BTreeMap::new();
-    if chars.next()? != '{' {
-        return None;
-    }
-    skip_whitespace(&mut chars);
-    if chars.peek() == Some(&'}') {
-        chars.next();
-        return if chars.next().is_none() { Some(fields) } else { None };
-    }
-    loop {
-        skip_whitespace(&mut chars);
-        if chars.next()? != '"' {
-            return None;
-        }
-        let key = parse_string_body(&mut chars)?;
-        skip_whitespace(&mut chars);
-        if chars.next()? != ':' {
-            return None;
-        }
-        skip_whitespace(&mut chars);
-        let value = match chars.peek()? {
-            '"' => {
-                chars.next();
-                Field::Str(parse_string_body(&mut chars)?)
-            }
-            'n' => {
-                for expect in ['n', 'u', 'l', 'l'] {
-                    if chars.next()? != expect {
-                        return None;
-                    }
-                }
-                Field::Null
-            }
-            c if c.is_ascii_digit() => {
-                let mut n: u64 = 0;
-                while let Some(d) = chars.peek().and_then(|c| c.to_digit(10)) {
-                    n = n.checked_mul(10)?.checked_add(u64::from(d))?;
-                    chars.next();
-                }
-                Field::Num(n)
-            }
-            _ => return None,
-        };
-        fields.insert(key, value);
-        skip_whitespace(&mut chars);
-        match chars.next()? {
-            ',' => continue,
-            '}' => break,
-            _ => return None,
-        }
-    }
-    if chars.next().is_none() {
-        Some(fields)
-    } else {
-        None
-    }
-}
-
-/// Skip JSON's insignificant whitespace: space, tab, CR and LF.
-fn skip_whitespace(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) {
-    while chars.next_if(|c| matches!(c, ' ' | '\t' | '\r' | '\n')).is_some() {}
-}
-
-/// Parse a JSON string body after the opening quote, handling the escapes
-/// `write_escaped` emits (plus `\uXXXX` surrogate pairs for safety).
-fn parse_string_body(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Option<String> {
-    let mut out = String::new();
-    loop {
-        match chars.next()? {
-            '"' => return Some(out),
-            '\\' => match chars.next()? {
-                '"' => out.push('"'),
-                '\\' => out.push('\\'),
-                '/' => out.push('/'),
-                'n' => out.push('\n'),
-                'r' => out.push('\r'),
-                't' => out.push('\t'),
-                'b' => out.push('\u{8}'),
-                'f' => out.push('\u{c}'),
-                'u' => {
-                    let hi = parse_hex4(chars)?;
-                    let cp = if (0xD800..0xDC00).contains(&hi) {
-                        // Surrogate pair: expect \uXXXX low half next.
-                        if chars.next()? != '\\' || chars.next()? != 'u' {
-                            return None;
-                        }
-                        let lo = parse_hex4(chars)?;
-                        if !(0xDC00..0xE000).contains(&lo) {
-                            return None;
-                        }
-                        0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                    } else {
-                        hi
-                    };
-                    out.push(char::from_u32(cp)?);
-                }
-                _ => return None,
-            },
-            c => out.push(c),
-        }
-    }
-}
-
-fn parse_hex4(chars: &mut std::iter::Peekable<std::str::Chars<'_>>) -> Option<u32> {
-    let mut v = 0u32;
-    for _ in 0..4 {
-        v = v * 16 + chars.next()?.to_digit(16)?;
-    }
-    Some(v)
 }
 
 #[cfg(test)]
@@ -916,46 +771,55 @@ mod tests {
     }
 
     #[test]
-    fn flat_parser_handles_escapes_and_rejects_garbage() {
-        let obj = parse_flat_object(r#"{"a":"x\n\"y\"","n":42,"z":null}"#).unwrap();
-        assert_eq!(obj.get("a"), Some(&Field::Str("x\n\"y\"".into())));
-        assert_eq!(obj.get("n"), Some(&Field::Num(42)));
-        assert_eq!(obj.get("z"), Some(&Field::Null));
-        assert_eq!(parse_flat_object(r#"{"u":"A😀"}"#).unwrap().get("u"), Some(&Field::Str("A😀".into())));
-        assert!(parse_flat_object(r#"{"a":"x""#).is_none(), "truncated");
-        assert!(parse_flat_object(r#"{"a":1} trailing"#).is_none());
-        assert!(parse_flat_object("").is_none());
-        assert!(parse_flat_object("{}").is_some());
+    fn result_lines_decode_escapes_and_reject_garbage() {
+        // Escapes, a literal astral-plane character, its surrogate-pair
+        // escape, and a `null` seed (ignored, as any non-u64 seed is).
+        let line = r#"{"job":"x\n\"y\"","status":"ok","attempts":42,"output":"A😀 \ud83d\ude00","seed":null}"#;
+        assert_eq!(parse_result_line(line), Some(JobResult::ok("x\n\"y\"", 42, "A😀 😀".into())));
+        let ok = r#"{"job":"a","status":"ok","attempts":1,"output":"o"}"#;
+        assert!(parse_result_line(ok).is_some());
+        for bad in [
+            &ok[..ok.len() - 1],
+            &ok[..ok.len() - 6],
+            r#"{"job":"a","status":"ok","attempts":1,"output":"o"} trailing"#,
+            "",
+            "{}",
+            // Present but out of range or mistyped.
+            r#"{"job":"a","status":"ok","attempts":4294967296,"output":"o"}"#,
+            r#"{"job":"a","status":"ok","attempts":"1","output":"o"}"#,
+            r#"{"job":"a","status":"done","attempts":1,"output":"o"}"#,
+            r#"{"job":"a","status":"ok","attempts":1}"#,
+        ] {
+            assert!(parse_result_line(bad).is_none(), "{bad:?}");
+        }
     }
 
     #[test]
-    fn flat_parser_skips_json_whitespace_between_tokens() {
-        let compact = parse_flat_object(r#"{"op":"hello","client":"probe","n":7,"z":null}"#);
-        assert!(compact.is_some());
-        for spaced in [
-            r#"{"op": "hello", "client": "probe", "n": 7, "z": null}"#,
-            "{ \"op\" :\t\"hello\" ,\r\n \"client\":\"probe\",\"n\" : 7 ,\"z\":null\n}",
-        ] {
-            assert_eq!(parse_flat_object(spaced), compact, "{spaced:?}");
-        }
-        let ping = parse_flat_object(r#"{ "op":"ping" }"#).unwrap();
-        assert_eq!(ping.get("op"), Some(&Field::Str("ping".into())));
-        assert_eq!(parse_flat_object("{ \t}"), Some(BTreeMap::new()));
+    fn result_lines_parse_with_json_whitespace_between_tokens() {
+        let compact =
+            parse_result_line(r#"{"job":"a","status":"ok","attempts":7,"output":" v ","seed":null}"#);
         // Whitespace inside a string is data, not layout.
-        let kept = parse_flat_object(r#"{ "k" : " v " }"#).unwrap();
-        assert_eq!(kept.get("k"), Some(&Field::Str(" v ".into())));
-        // Truncated or malformed lines stay rejected with whitespace around.
-        for bad in [
-            r#"{ "a": "x", "#,
-            r#"{ "a": "#,
-            r#"{ "a": 1 "#,
-            r#"{ "a" 1 }"#,
-            r#"{ "a": 1 2 }"#,
-            r#"{ "a": n ull }"#,
-            r#"{ "a": 1 , }"#,
-            r#"{ "a": 1 } x"#,
+        assert_eq!(compact, Some(JobResult::ok("a", 7, " v ".into())));
+        for spaced in [
+            r#"{"job": "a", "status": "ok", "attempts": 7, "output": " v ", "seed": null}"#,
+            "{ \"job\" :\t\"a\" ,\r\n \"status\":\"ok\",\"attempts\" : 7 ,\"output\":\" v \",\"seed\":null\n}",
         ] {
-            assert!(parse_flat_object(bad).is_none(), "{bad:?}");
+            assert_eq!(parse_result_line(spaced), compact, "{spaced:?}");
+        }
+        // Truncated or malformed lines stay rejected with whitespace
+        // around: each is a whole record but for the one syntax fault.
+        for bad in [
+            r#"{ "job": "a", "status": "ok", "attempts": 7, "output": "o", "#,
+            r#"{ "job": "a", "status": "ok", "attempts": 7, "output": "#,
+            r#"{ "job": "a", "status": "ok", "attempts": 7, "output": "o" "#,
+            r#"{ "job" "a", "status": "ok", "attempts": 7, "output": "o" }"#,
+            r#"{ "job": "a", "status": "ok", "attempts": 7 2, "output": "o" }"#,
+            r#"{ "job": "a", "status": "ok", "attempts": 7, "output": "o", "seed": n ull }"#,
+            r#"{ "job": "a", "status": "ok", "attempts": 7, "output": "o" , }"#,
+            r#"{ "job": "a", "status": "ok", "attempts": 7, "output": "o" } x"#,
+        ] {
+            assert!(JsonValue::parse(bad).is_err(), "{bad:?}");
+            assert!(parse_result_line(bad).is_none(), "{bad:?}");
         }
     }
 }

@@ -1,9 +1,12 @@
 //! The JSONL wire protocol.
 //!
-//! One flat JSON object per line in each direction, reusing the
-//! harness's journal grammar ([`pim_harness::journal::parse_flat_object`]
-//! for parsing, [`pim_trace::json::write_escaped`] for rendering) so the
-//! server, the journal, and the wire all speak one dialect. Requests:
+//! One JSON object per line in each direction. Each message maps to and
+//! from a [`pim_trace::JsonValue`], rendered with [`JsonValue::render`]
+//! and read with [`JsonValue::parse`], the codec the harness and server
+//! journals use too, so the server, the journals and the wire all speak
+//! one dialect. The parser is bounded in nesting depth and linear in
+//! line length, so no line a peer sends can exhaust a connection
+//! thread's stack. Requests:
 //!
 //! ```text
 //! {"op":"hello","client":"repro"}
@@ -29,9 +32,9 @@
 //! as an opaque line. An HTTP `GET /metrics` on the same port returns the
 //! same document for scrape tooling.
 
-use pim_harness::journal::{parse_flat_object, parse_result_line, record_line, Field};
+use pim_harness::journal::{record_json, result_from_json};
 use pim_harness::{JobResult, Priority};
-use pim_trace::json::write_escaped;
+use pim_trace::JsonValue;
 
 /// Wire protocol version, negotiated in the `hello` exchange.
 pub const PROTOCOL_VERSION: u64 = 1;
@@ -100,76 +103,57 @@ pub enum Request {
 impl Request {
     /// Render as one wire line (no trailing newline).
     pub fn render(&self) -> String {
-        let mut s = String::from("{\"op\":");
-        match self {
-            Request::Hello { client } => {
-                s.push_str("\"hello\",\"client\":");
-                write_escaped(&mut s, client);
-            }
-            Request::Submit { id, spec, priority } => {
-                s.push_str("\"submit\",\"id\":");
-                write_escaped(&mut s, id);
-                s.push_str(",\"spec\":");
-                write_escaped(&mut s, spec);
-                if *priority != Priority::Normal {
-                    s.push_str(",\"priority\":");
-                    write_escaped(&mut s, priority.label());
-                }
-            }
+        let req = JsonValue::object();
+        let req = match self {
+            Request::Hello { client } => req.set("op", "hello").set("client", client.as_str()),
+            Request::Submit { id, spec, priority } => req
+                .set("op", "submit")
+                .set("id", id.as_str())
+                .set("spec", spec.as_str())
+                .set_some("priority", (*priority != Priority::Normal).then(|| priority.label())),
             Request::Wait { id, timeout_ms } => {
-                s.push_str("\"wait\",\"id\":");
-                write_escaped(&mut s, id);
-                if let Some(ms) = timeout_ms {
-                    s.push_str(&format!(",\"timeout_ms\":{ms}"));
-                }
+                req.set("op", "wait").set("id", id.as_str()).set_some("timeout_ms", *timeout_ms)
             }
-            Request::Stats => s.push_str("\"stats\""),
-            Request::Metrics => s.push_str("\"metrics\""),
-            Request::Ping => s.push_str("\"ping\""),
-            Request::Shutdown { mode } => {
-                s.push_str("\"shutdown\",\"mode\":");
-                write_escaped(&mut s, mode.label());
-            }
-        }
-        s.push('}');
-        s
+            Request::Stats => req.set("op", "stats"),
+            Request::Metrics => req.set("op", "metrics"),
+            Request::Ping => req.set("op", "ping"),
+            Request::Shutdown { mode } => req.set("op", "shutdown").set("mode", mode.label()),
+        };
+        req.render()
     }
 
     /// Parse one request line. `Err` carries a human-readable reason that
     /// the server echoes back in a `bad-request` rejection.
     pub fn parse(line: &str) -> Result<Self, String> {
-        let fields =
-            parse_flat_object(line).ok_or_else(|| "not a flat JSON object".to_string())?;
-        let get = |key: &str| match fields.get(key) {
-            Some(Field::Str(s)) => Some(s.clone()),
-            _ => None,
-        };
-        let op = get("op").ok_or_else(|| "missing \"op\"".to_string())?;
+        let req = JsonValue::parse(line).map_err(|e| e.to_string())?;
+        let text = |key: &str| req.get(key).and_then(JsonValue::as_str).map(str::to_string);
+        let op = text("op").ok_or_else(|| "missing \"op\"".to_string())?;
         match op.as_str() {
             "hello" => Ok(Request::Hello {
-                client: get("client").ok_or_else(|| "hello needs \"client\"".to_string())?,
+                client: text("client").ok_or_else(|| "hello needs \"client\"".to_string())?,
             }),
             "submit" => Ok(Request::Submit {
-                id: get("id").ok_or_else(|| "submit needs \"id\"".to_string())?,
-                spec: get("spec").ok_or_else(|| "submit needs \"spec\"".to_string())?,
-                priority: match get("priority") {
+                id: text("id").ok_or_else(|| "submit needs \"id\"".to_string())?,
+                spec: text("spec").ok_or_else(|| "submit needs \"spec\"".to_string())?,
+                priority: match text("priority") {
                     None => Priority::Normal,
                     Some(p) => Priority::from_label(&p)
                         .ok_or_else(|| format!("unknown priority {p:?}"))?,
                 },
             }),
             "wait" => Ok(Request::Wait {
-                id: get("id").ok_or_else(|| "wait needs \"id\"".to_string())?,
-                timeout_ms: match fields.get("timeout_ms") {
-                    Some(Field::Num(n)) => Some(*n),
+                id: text("id").ok_or_else(|| "wait needs \"id\"".to_string())?,
+                timeout_ms: match req.get("timeout_ms") {
                     None => None,
-                    _ => return Err("\"timeout_ms\" must be a number".to_string()),
+                    Some(ms) => Some(
+                        ms.as_u64().ok_or_else(|| "\"timeout_ms\" must be a number".to_string())?,
+                    ),
                 },
             }),
             "stats" => Ok(Request::Stats),
             "metrics" => Ok(Request::Metrics),
             "ping" => Ok(Request::Ping),
-            "shutdown" => match get("mode").as_deref() {
+            "shutdown" => match text("mode").as_deref() {
                 Some("drain") | None => Ok(Request::Shutdown { mode: ShutdownMode::Drain }),
                 Some("now") => Ok(Request::Shutdown { mode: ShutdownMode::Now }),
                 Some(other) => Err(format!("unknown shutdown mode {other:?}")),
@@ -336,92 +320,61 @@ pub enum Response {
 impl Response {
     /// Render as one wire line (no trailing newline).
     pub fn render(&self) -> String {
-        match self {
+        let resp = JsonValue::object();
+        let resp = match self {
             Response::Hello { server, version } => {
-                let mut s = String::from("{\"type\":\"hello\",\"server\":");
-                write_escaped(&mut s, server);
-                s.push_str(&format!(",\"version\":{version}}}"));
-                s
+                resp.set("type", "hello").set("server", server.as_str()).set("version", *version)
             }
             Response::Accepted { id, state } => {
-                let mut s = String::from("{\"type\":\"accepted\",\"id\":");
-                write_escaped(&mut s, id);
-                s.push_str(",\"state\":");
-                write_escaped(&mut s, state);
-                s.push('}');
-                s
+                resp.set("type", "accepted").set("id", id.as_str()).set("state", state.as_str())
             }
-            Response::Rejected(r) => {
-                let mut s = String::from("{\"type\":\"rejected\",\"error\":");
-                write_escaped(&mut s, r.kind.label());
-                s.push_str(",\"reason\":");
-                write_escaped(&mut s, &r.reason);
-                if let Some(scope) = r.scope {
-                    s.push_str(",\"scope\":");
-                    write_escaped(&mut s, scope);
-                }
-                if let Some(cur) = r.current {
-                    s.push_str(&format!(",\"current\":{cur}"));
-                }
-                if let Some(lim) = r.limit {
-                    s.push_str(&format!(",\"limit\":{lim}"));
-                }
-                s.push('}');
-                s
-            }
-            // The journal record shape, tagged. Splicing after the `{`
-            // keeps the payload bytes identical to the journal's.
-            Response::Result(r) => format!("{{\"type\":\"result\",{}", &record_line(r)[1..]),
-            Response::Stats(st) => format!(
-                "{{\"type\":\"stats\",\"submitted\":{},\"completed\":{},\"succeeded\":{},\
-                 \"failed\":{},\"quarantined\":{},\"retries\":{},\"overloaded\":{},\
-                 \"steals\":{},\"in_flight\":{},\"workers\":{},\"clients\":{},\
-                 \"recovered\":{},\"draining\":{},\"journal_dropped\":{},\
-                 \"journal_degraded\":{}}}",
-                st.submitted,
-                st.completed,
-                st.succeeded,
-                st.failed,
-                st.quarantined,
-                st.retries,
-                st.overloaded,
-                st.steals,
-                st.in_flight,
-                st.workers,
-                st.clients,
-                st.recovered,
-                st.draining,
-                st.journal_dropped,
-                st.journal_degraded,
-            ),
-            Response::Pong => "{\"type\":\"pong\"}".to_string(),
+            Response::Rejected(r) => resp
+                .set("type", "rejected")
+                .set("error", r.kind.label())
+                .set("reason", r.reason.as_str())
+                .set_some("scope", r.scope)
+                .set_some("current", r.current)
+                .set_some("limit", r.limit),
+            // The journal record behind a `type` tag: the payload bytes
+            // are identical to the journal's.
+            Response::Result(r) => record_json(resp.set("type", "result"), r),
+            Response::Stats(st) => resp
+                .set("type", "stats")
+                .set("submitted", st.submitted)
+                .set("completed", st.completed)
+                .set("succeeded", st.succeeded)
+                .set("failed", st.failed)
+                .set("quarantined", st.quarantined)
+                .set("retries", st.retries)
+                .set("overloaded", st.overloaded)
+                .set("steals", st.steals)
+                .set("in_flight", st.in_flight)
+                .set("workers", st.workers)
+                .set("clients", st.clients)
+                .set("recovered", st.recovered)
+                .set("draining", st.draining)
+                .set("journal_dropped", st.journal_dropped)
+                .set("journal_degraded", st.journal_degraded),
+            Response::Pong => resp.set("type", "pong"),
             Response::ShuttingDown { mode } => {
-                let mut s = String::from("{\"type\":\"shutdown\",\"mode\":");
-                write_escaped(&mut s, mode);
-                s.push('}');
-                s
+                resp.set("type", "shutdown").set("mode", mode.as_str())
             }
-        }
+        };
+        resp.render()
     }
 
     /// Parse one response line (client side).
     pub fn parse(line: &str) -> Option<Self> {
-        let fields = parse_flat_object(line)?;
-        let get = |key: &str| match fields.get(key) {
-            Some(Field::Str(s)) => Some(s.clone()),
-            _ => None,
-        };
-        let num = |key: &str| match fields.get(key) {
-            Some(Field::Num(n)) => Some(*n),
-            _ => None,
-        };
-        match get("type")?.as_str() {
-            "hello" => Some(Response::Hello { server: get("server")?, version: num("version")? }),
-            "accepted" => Some(Response::Accepted { id: get("id")?, state: get("state")? }),
+        let resp = JsonValue::parse(line).ok()?;
+        let text = |key: &str| resp.get(key).and_then(JsonValue::as_str).map(str::to_string);
+        let num = |key: &str| resp.get(key).and_then(JsonValue::as_u64);
+        match text("type")?.as_str() {
+            "hello" => Some(Response::Hello { server: text("server")?, version: num("version")? }),
+            "accepted" => Some(Response::Accepted { id: text("id")?, state: text("state")? }),
             "rejected" => Some(Response::Rejected(Reject {
-                kind: RejectKind::from_label(&get("error")?)?,
-                reason: get("reason").unwrap_or_default(),
-                scope: match get("scope").as_deref() {
+                kind: RejectKind::from_label(&text("error")?)?,
+                reason: text("reason").unwrap_or_default(),
+                scope: match text("scope").as_deref() {
                     Some("client") => Some("client"),
                     Some("queue") => Some("queue"),
                     _ => None,
@@ -429,7 +382,7 @@ impl Response {
                 current: num("current"),
                 limit: num("limit"),
             })),
-            "result" => Some(Response::Result(parse_result_line(line)?)),
+            "result" => Some(Response::Result(result_from_json(&resp)?)),
             "stats" => Some(Response::Stats(Stats {
                 submitted: num("submitted")?,
                 completed: num("completed")?,
@@ -449,7 +402,7 @@ impl Response {
                 journal_degraded: num("journal_degraded").unwrap_or(0),
             })),
             "pong" => Some(Response::Pong),
-            "shutdown" => Some(Response::ShuttingDown { mode: get("mode")? }),
+            "shutdown" => Some(Response::ShuttingDown { mode: text("mode")? }),
             _ => None,
         }
     }
@@ -457,6 +410,7 @@ impl Response {
 
 #[cfg(test)]
 mod tests {
+    use pim_harness::journal::{parse_result_line, record_line};
     use pim_harness::JobStatus;
 
     use super::*;
@@ -501,6 +455,10 @@ mod tests {
                 .is_err(),
             "unknown priority label is a typed error, not a silent default"
         );
+        for timeout in ["\"5\"", "-5", "2.5", "null"] {
+            let line = format!("{{\"op\":\"wait\",\"id\":\"x\",\"timeout_ms\":{timeout}}}");
+            assert!(Request::parse(&line).is_err(), "{line}");
+        }
     }
 
     #[test]
@@ -525,6 +483,37 @@ mod tests {
             })
         );
         assert!(Request::parse(r#"{"op": "hello", "client": "#).is_err(), "truncated");
+        // Whitespace around every token, fields nobody reads, and a
+        // space-padded value kept as data.
+        let compact = Request::parse(r#"{"op":"hello","client":" probe ","n":7,"z":null}"#);
+        assert_eq!(compact, Ok(Request::Hello { client: " probe ".into() }));
+        for spaced in [
+            r#"{"op": "hello", "client": " probe ", "n": 7, "z": null}"#,
+            "{ \"op\" :\t\"hello\" ,\r\n \"client\":\" probe \",\"n\" : 7 ,\"z\":null\n}",
+        ] {
+            assert_eq!(Request::parse(spaced), compact, "{spaced:?}");
+        }
+        assert_eq!(Request::parse("{ \t}"), Err("missing \"op\"".to_string()));
+    }
+
+    #[test]
+    fn requests_decode_surrogate_pair_escapes() {
+        // Python's `json.dumps` escapes 😀 as a surrogate pair by default.
+        assert_eq!(
+            Request::parse(r#"{"op": "hello", "client": "\ud83d\ude00"}"#),
+            Ok(Request::Hello { client: "😀".into() })
+        );
+        assert!(Request::parse(r#"{"op": "hello", "client": "\ud83d"}"#).is_err(), "lone half");
+    }
+
+    #[test]
+    fn over_deep_request_is_a_typed_error_on_a_connection_thread() {
+        // 10 KB, far under the line cap: once enough to overflow the
+        // stack of a thread spawned with the default size.
+        let line = format!("{{\"op\":{}", "[".repeat(10_000));
+        let parsed = std::thread::spawn(move || Request::parse(&line)).join().unwrap();
+        let reason = parsed.unwrap_err();
+        assert!(reason.contains("nesting too deep"), "{reason}");
     }
 
     #[test]

@@ -13,8 +13,11 @@
 //!   enqueued — write-ahead, so an admitted job can never be lost;
 //! * a **result** line is written when the job reaches a terminal state,
 //!   in exactly the harness journal format
-//!   ([`pim_harness::journal::record_line`]), so both journals share one
-//!   parser.
+//!   ([`pim_harness::journal::record_line`]).
+//!
+//! Every line is a [`pim_trace::JsonValue`] object, rendered with
+//! [`JsonValue::render`]; replay parses each line once with
+//! [`JsonValue::parse`] and reads it as a submission or a result.
 //!
 //! On restart the server replays the journal: jobs with an intact result
 //! are restored verbatim (bit-identical payloads — results carry their
@@ -28,11 +31,9 @@ use std::collections::BTreeMap;
 use std::fs::File;
 use std::path::Path;
 
-use pim_harness::journal::{
-    parse_flat_object, parse_result_line, record_line, replace_atomically, Field,
-};
+use pim_harness::journal::{record_line, replace_atomically, result_from_json};
 use pim_harness::{FsyncPolicy, JobResult, JournalSink, Priority, RecordWriter};
-use pim_trace::json::write_escaped;
+use pim_trace::JsonValue;
 
 use crate::ServeError;
 
@@ -78,25 +79,20 @@ impl RecoveredState {
 
 /// The header line every pim-serve journal starts with.
 fn header_line() -> String {
-    format!("{{\"journal\":\"{MAGIC}\",\"version\":{VERSION}}}")
+    JsonValue::object().set("journal", MAGIC).set("version", VERSION).render()
 }
 
 /// One write-ahead submission record. `priority` is written only when
 /// non-default, keeping pre-priority journals byte-identical and
 /// readable by both directions.
 fn submission_line(sub: &Submission) -> String {
-    let mut s = String::from("{\"kind\":\"sub\",\"id\":");
-    write_escaped(&mut s, &sub.id);
-    s.push_str(",\"client\":");
-    write_escaped(&mut s, &sub.client);
-    s.push_str(",\"spec\":");
-    write_escaped(&mut s, &sub.spec);
-    if sub.priority != Priority::Normal {
-        s.push_str(",\"priority\":");
-        write_escaped(&mut s, sub.priority.label());
-    }
-    s.push('}');
-    s
+    JsonValue::object()
+        .set("kind", "sub")
+        .set("id", sub.id.as_str())
+        .set("client", sub.client.as_str())
+        .set("spec", sub.spec.as_str())
+        .set_some("priority", (sub.priority != Priority::Normal).then(|| sub.priority.label()))
+        .render()
 }
 
 /// Append-only server journal writer on the harness's hardened
@@ -222,11 +218,14 @@ pub fn read_serve_journal(path: &Path) -> Result<RecoveredState, ServeError> {
     // Lossy decode: invalid UTF-8 garbles only its own line.
     let text = String::from_utf8_lossy(&bytes);
     let mut lines = text.lines();
-    let header = lines.next().and_then(parse_flat_object).ok_or_else(|| {
+    let header = lines.next().and_then(|line| JsonValue::parse(line).ok()).ok_or_else(|| {
         ServeError::journal(path, "missing or unreadable header line")
     })?;
-    match (header.get("journal"), header.get("version")) {
-        (Some(Field::Str(m)), Some(Field::Num(v))) if m == MAGIC && *v == VERSION => {}
+    match (
+        header.get("journal").and_then(JsonValue::as_str),
+        header.get("version").and_then(JsonValue::as_u64),
+    ) {
+        (Some(MAGIC), Some(VERSION)) => {}
         _ => return Err(ServeError::journal(path, "header is not a pim-serve v1 journal")),
     }
 
@@ -236,7 +235,8 @@ pub fn read_serve_journal(path: &Path) -> Result<RecoveredState, ServeError> {
         if line.trim().is_empty() {
             continue;
         }
-        if let Some(sub) = parse_submission_line(line) {
+        let record = JsonValue::parse(line).ok();
+        if let Some(sub) = record.as_ref().and_then(submission_from_json) {
             if seen_subs.contains_key(&sub.id) {
                 state.duplicates += 1;
             } else {
@@ -245,7 +245,7 @@ pub fn read_serve_journal(path: &Path) -> Result<RecoveredState, ServeError> {
             }
             continue;
         }
-        if let Some(result) = parse_result_line(line) {
+        if let Some(result) = record.as_ref().and_then(result_from_json) {
             if state.results.insert(result.id.clone(), result).is_some() {
                 state.duplicates += 1;
             }
@@ -273,25 +273,21 @@ pub fn read_serve_journal(path: &Path) -> Result<RecoveredState, ServeError> {
     Ok(state)
 }
 
-fn parse_submission_line(line: &str) -> Option<Submission> {
-    let fields = parse_flat_object(line)?;
-    let get = |key: &str| match fields.get(key) {
-        Some(Field::Str(s)) => Some(s.clone()),
-        _ => None,
-    };
-    if get("kind")? != "sub" {
+fn submission_from_json(record: &JsonValue) -> Option<Submission> {
+    let text = |key: &str| record.get(key).and_then(JsonValue::as_str);
+    if text("kind")? != "sub" {
         return None;
     }
     Some(Submission {
-        id: get("id")?,
-        client: get("client")?,
-        spec: get("spec")?,
+        id: text("id")?.to_string(),
+        client: text("client")?.to_string(),
+        spec: text("spec")?.to_string(),
         // Absent = pre-priority record = Normal; an unparseable label
         // makes the whole line corrupt (skipped and counted) rather
         // than silently demoting the job.
-        priority: match get("priority") {
+        priority: match text("priority") {
             None => Priority::Normal,
-            Some(p) => Priority::from_label(&p)?,
+            Some(p) => Priority::from_label(p)?,
         },
     })
 }

@@ -1,4 +1,4 @@
-//! A minimal hand-rolled JSON writer.
+//! A minimal hand-rolled JSON writer and parser.
 //!
 //! The workspace has a no-external-deps rule, so every machine-readable
 //! artifact (`chrome://tracing` traces, metrics dumps, the `repro --json`
@@ -7,8 +7,19 @@
 //! shortest-roundtrip `Display` (deterministic for a given value), and
 //! non-finite floats become `null` — so a byte-identical input always
 //! produces a byte-identical document.
+//!
+//! [`JsonValue::parse`] is the workspace's one JSON parser. The harness
+//! and server journals and the `pim-serve` wire protocol read every line
+//! with it, so it is built for lines from outside the program: linear
+//! time, surrogate-pair escapes, and a bound on nesting depth.
 
 use std::fmt::Write as _;
+
+/// How deep arrays and objects may nest in a parsed document. Far above
+/// anything the workspace writes (its deepest documents nest 4 levels),
+/// and low enough that [`JsonValue::parse`]'s recursion fits the default
+/// stack of a spawned thread (under 256 KiB in an x86-64 debug build).
+const MAX_DEPTH: usize = 128;
 
 /// A JSON value that renders itself.
 #[derive(Debug, Clone, PartialEq)]
@@ -49,6 +60,15 @@ impl JsonValue {
             fields.push((key.to_string(), value.into()));
         }
         self
+    }
+
+    /// [`JsonValue::set`] when `value` is `Some`; `self` unchanged when
+    /// it is `None`, so an absent optional field is omitted.
+    pub fn set_some(self, key: &str, value: Option<impl Into<JsonValue>>) -> Self {
+        match value {
+            Some(value) => self.set(key, value),
+            None => self,
+        }
     }
 
     /// Append an element (array variants only; no-op otherwise).
@@ -92,16 +112,22 @@ impl JsonValue {
     /// Parse a JSON document produced by this writer (or any standard
     /// JSON text). Numbers parse as `U64`/`I64` when they are integral
     /// and fit, `F64` otherwise; exponent notation is accepted on input
-    /// even though the writer never emits it.
+    /// even though the writer never emits it. `\uXXXX` surrogate pairs
+    /// decode to one character.
+    ///
+    /// Safe for lines from outside the program: time is linear in the
+    /// input, and arrays and objects nest at most 128 deep, so a hostile
+    /// line cannot exhaust a thread's stack.
     ///
     /// # Errors
     ///
     /// A static description of the first syntax error, with its byte
-    /// offset. Trailing non-whitespace after the document is an error.
+    /// offset. Trailing non-whitespace after the document, a lone
+    /// surrogate escape and nesting deeper than 128 are errors.
     pub fn parse(text: &str) -> Result<Self, JsonParseError> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(JsonParseError { at: pos, what: "trailing characters" });
@@ -237,9 +263,13 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8, what: &'static str) -> Result<()
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonParseError> {
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, JsonParseError> {
     skip_ws(bytes, pos);
-    match bytes.get(*pos) {
+    let open = bytes.get(*pos);
+    if matches!(open, Some(b'{' | b'[')) && depth == MAX_DEPTH {
+        return Err(JsonParseError { at: *pos, what: "nesting too deep" });
+    }
+    match open {
         None => Err(JsonParseError { at: *pos, what: "unexpected end of input" }),
         Some(b'{') => {
             *pos += 1;
@@ -251,13 +281,13 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonParseErro
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = match parse_value(bytes, pos)? {
-                    JsonValue::Str(s) => s,
-                    _ => return Err(JsonParseError { at: *pos, what: "expected string key" }),
-                };
+                if bytes.get(*pos) != Some(&b'"') {
+                    return Err(JsonParseError { at: *pos, what: "expected string key" });
+                }
+                let key = parse_string(bytes, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':', "expected ':'")?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -279,7 +309,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonParseErro
                 return Ok(JsonValue::Arr(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -317,53 +347,72 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonParseError>
     expect(bytes, pos, b'"', "expected '\"'")?;
     let mut out = String::new();
     loop {
+        // Copy the run up to the next quote or backslash whole. Both are
+        // ASCII, and no byte of a multi-byte UTF-8 character is, so the
+        // run ends on a character boundary of the (valid UTF-8) input.
+        let start = *pos;
+        let run = bytes[start..].iter().position(|&b| b == b'"' || b == b'\\');
+        *pos = run.map_or(bytes.len(), |n| start + n);
+        out.push_str(
+            std::str::from_utf8(&bytes[start..*pos])
+                .map_err(|_| JsonParseError { at: start, what: "invalid utf-8" })?,
+        );
         match bytes.get(*pos) {
             None => return Err(JsonParseError { at: *pos, what: "unterminated string" }),
             Some(b'"') => {
                 *pos += 1;
                 return Ok(out);
             }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .and_then(|h| u32::from_str_radix(h, 16).ok())
-                            .ok_or(JsonParseError { at: *pos, what: "invalid \\u escape" })?;
-                        // Surrogate pairs are not emitted by our writer;
-                        // map lone surrogates to the replacement character.
-                        out.push(char::from_u32(hex).unwrap_or('\u{fffd}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(JsonParseError { at: *pos, what: "invalid escape" }),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so offsets
-                // at char boundaries are safe to slice).
-                let rest = &bytes[*pos..];
-                let s = std::str::from_utf8(rest)
-                    .map_err(|_| JsonParseError { at: *pos, what: "invalid utf-8" })?;
-                let c = s
-                    .chars()
-                    .next()
-                    .ok_or(JsonParseError { at: *pos, what: "unterminated string" })?;
-                out.push(c);
-                *pos += c.len_utf8();
-            }
+            Some(_) => *pos += 1,
         }
+        let c = match bytes.get(*pos) {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'u') => parse_unicode_escape(bytes, pos)?,
+            _ => return Err(JsonParseError { at: *pos, what: "invalid escape" }),
+        };
+        out.push(c);
+        *pos += 1;
     }
+}
+
+/// Decode the `uXXXX` of a `\uXXXX` escape at `pos`, and the low half
+/// after it when the first is a high surrogate. Leaves `pos` on the last
+/// hex digit. A lone or reversed surrogate is an error.
+fn parse_unicode_escape(bytes: &[u8], pos: &mut usize) -> Result<char, JsonParseError> {
+    let hex4 = |at: usize| {
+        let mut v = 0u32;
+        for i in at..at + 4 {
+            let d = bytes.get(i).and_then(|&b| char::from(b).to_digit(16));
+            v = v * 16 + d.ok_or(JsonParseError { at, what: "invalid \\u escape" })?;
+        }
+        Ok(v)
+    };
+    let lone = JsonParseError { at: *pos, what: "lone surrogate in \\u escape" };
+    let hi = hex4(*pos + 1)?;
+    *pos += 4;
+    let cp = match hi {
+        0xD800..=0xDBFF => {
+            if bytes.get(*pos + 1..*pos + 3) != Some(&b"\\u"[..]) {
+                return Err(lone);
+            }
+            let lo = hex4(*pos + 3)?;
+            if !(0xDC00..=0xDFFF).contains(&lo) {
+                return Err(lone);
+            }
+            *pos += 6;
+            0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+        }
+        0xDC00..=0xDFFF => return Err(lone),
+        _ => hi,
+    };
+    char::from_u32(cp).ok_or(lone)
 }
 
 fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, JsonParseError> {
@@ -569,6 +618,12 @@ mod tests {
     }
 
     #[test]
+    fn set_some_omits_none() {
+        let v = JsonValue::object().set_some("a", Some(1u64)).set_some("b", None::<&str>);
+        assert_eq!(v.render(), r#"{"a":1}"#);
+    }
+
+    #[test]
     fn set_and_push_ignore_wrong_variants() {
         assert_eq!(JsonValue::Null.set("k", 1u64), JsonValue::Null);
         assert_eq!(JsonValue::Null.push(1u64), JsonValue::Null);
@@ -611,6 +666,55 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\":}", "{\"a\":1,}", "truex", "1 2", "\"open"] {
             assert!(JsonValue::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn parse_reads_a_256_kib_string_in_linear_time() {
+        // One pass per string: the parser once re-validated the whole
+        // rest of the input for every character, quadratic in the string,
+        // and took tens of seconds on this document in a debug build.
+        let s = "data 日本 ".repeat(256 * 1024 / 12);
+        assert!(s.len() >= 250 * 1024);
+        let doc = JsonValue::from(format!("{s}\n\"end\"")).render();
+        let t0 = std::time::Instant::now();
+        let parsed = JsonValue::parse(&doc).unwrap();
+        let took = t0.elapsed();
+        assert_eq!(parsed, JsonValue::from(format!("{s}\n\"end\"")));
+        assert!(took < std::time::Duration::from_millis(500), "{took:?}");
+    }
+
+    #[test]
+    fn parse_decodes_surrogate_pairs_and_rejects_lone_halves() {
+        // Python's `json.dumps` sends 😀 as this pair by default.
+        assert_eq!(JsonValue::parse(r#""\ud83d\ude00""#), Ok(JsonValue::from("😀")));
+        assert_eq!(JsonValue::parse(r#""A\uD83D\uDE00z\u00e9""#), Ok(JsonValue::from("A😀zé")));
+        for bad in [
+            r#""\ud83d""#,
+            r#""\ud83dx""#,
+            r#""\ud83d\u0041""#,
+            r#""\ude00""#,
+            r#""\ude00\ud83d""#,
+            r#""\u12""#,
+            r#""\u+123""#,
+        ] {
+            assert!(JsonValue::parse(bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    #[test]
+    fn parse_rejects_100k_nested_arrays_on_a_spawned_thread() {
+        let deep = "[".repeat(100_000);
+        let parsed = std::thread::spawn(move || JsonValue::parse(&deep).is_err()).join();
+        assert_eq!(parsed.ok(), Some(true));
+    }
+
+    #[test]
+    fn nesting_bound_counts_arrays_and_objects() {
+        let nest = |depth: usize| format!("{}1{}", "[{\"k\":".repeat(depth / 2), "}]".repeat(depth / 2));
+        assert!(JsonValue::parse(&nest(MAX_DEPTH)).is_ok());
+        let err = JsonValue::parse(&nest(MAX_DEPTH + 2)).unwrap_err();
+        assert_eq!(err.what, "nesting too deep");
+        assert_eq!(err.at, MAX_DEPTH * 6 / 2);
     }
 
     #[test]

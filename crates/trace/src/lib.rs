@@ -36,7 +36,8 @@
 //! * Exporters are hand-rolled (the workspace has a no-external-deps
 //!   rule): [`Tracer::chrome_trace`] emits the Chrome trace-event
 //!   format, [`json::JsonValue`] is the tiny JSON writer every
-//!   machine-readable artifact in the workspace shares, and
+//!   machine-readable artifact in the workspace shares (and the one
+//!   parser for journal and wire lines), and
 //!   [`MetricsReport::to_json`] dumps the registry.
 //!
 //! # Example

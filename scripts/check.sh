@@ -86,11 +86,14 @@ if [[ -n "$committed" && "$committed" != "$current" ]]; then
 fi
 grep -o '"wall_ms": [0-9]*' BENCH_repro.json | head -1
 
-echo "==> explain: attribution sweep + share-partition gate"
+echo "==> explain: attribution sweep + share-partition gate + drift gate"
 # Regenerates BENCH_explain.json and requires every record's cycle- and
 # energy-share vector to sum to 1 (the attribution must be a true
 # partition of the modeled cost), plus a named dominant component in the
-# headline-gap prose.
+# headline-gap prose. The regenerated file must also match the committed
+# one byte for byte, as BENCH_fleet.json must below: it is a pure
+# function of the simulator, so any drift is a real change in what the
+# kernels, the memory model or the energy model report.
 explain_out=$(cargo run -q --release -p pim-bench --bin repro -- --explain)
 echo "$explain_out" | grep -q 'dominant component:' || { echo "explain: missing dominant component"; exit 1; }
 python3 - <<'EOF'
@@ -109,6 +112,12 @@ for r in doc['records']:
             raise SystemExit(f"explain: {r['kernel']}/{r['mode']} {key} total field disagrees")
 print(f"explain: {len(doc['records'])} records, shares partition to 1.0")
 EOF
+if git cat-file -e HEAD:BENCH_explain.json 2>/dev/null \
+    && ! cmp -s <(git show HEAD:BENCH_explain.json) BENCH_explain.json; then
+    echo "explain: BENCH_explain.json drifted from the committed report"
+    diff <(git show HEAD:BENCH_explain.json) BENCH_explain.json | head -20
+    exit 1
+fi
 
 echo "==> fleet sweep: 1M-device population + report drift gate"
 # One full-scale fleet sweep in the repo root: appends a `fleet-sweep`
