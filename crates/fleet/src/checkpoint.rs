@@ -23,7 +23,7 @@ use pim_harness::journal::replace_atomically;
 use pim_harness::JournalSink;
 use pim_trace::JsonValue;
 
-use crate::sketch::{CountMinSketch, FixedHistogram, QuantileSketch, SketchConfig};
+use crate::sketch::{CountMinSketch, FixedHistogram, QuantileSketch, SketchConfig, SketchError};
 use crate::FleetError;
 
 /// Checkpoint file magic.
@@ -234,10 +234,12 @@ impl FleetState {
 
     /// Parse a checkpoint document and validate it against the sweep key.
     ///
-    /// Structural damage is [`FleetError::Corrupt`] (callers warn and
-    /// start fresh — recomputing is always safe); a well-formed document
-    /// for a *different* sweep is [`FleetError::Mismatch`] (fatal: the
-    /// caller is pointing at the wrong file).
+    /// Structural damage, including a sketch whose geometry disagrees
+    /// with the document's `sketch` block, is [`FleetError::Corrupt`]
+    /// (callers warn and start fresh — recomputing is always safe); a
+    /// well-formed document for a *different* sweep is
+    /// [`FleetError::Mismatch`] (fatal: the caller is pointing at the
+    /// wrong file).
     pub fn parse(text: &str, expect: &SweepKey) -> Result<Self, FleetError> {
         let doc = JsonValue::parse(text)
             .map_err(|e| FleetError::Corrupt(format!("checkpoint parse: {e}")))?;
@@ -306,19 +308,28 @@ impl FleetState {
         let sub = |k: &str| {
             doc.get(k).ok_or_else(|| FleetError::Corrupt(format!("checkpoint missing {k}")))
         };
-        Ok(Self {
-            key,
-            sketch_cfg,
-            degraded_steps: u32::try_from(num("degraded_steps")?)
-                .map_err(|_| FleetError::Corrupt("degraded_steps".into()))?,
-            devices_done: num("devices_done")?,
-            regressed: num("regressed")?,
-            completed,
-            quarantined,
-            reduction_q: QuantileSketch::from_json_value(sub("reduction_q")?)?,
-            reduction_hist: FixedHistogram::from_json_value(sub("reduction_hist")?)?,
-            attribution: CountMinSketch::from_json_value(sub("attribution")?)?,
-        })
+        let degraded_steps = u32::try_from(num("degraded_steps")?)
+            .map_err(|_| FleetError::Corrupt("degraded_steps".into()))?;
+        let mut state = Self::new(key, sketch_cfg, degraded_steps);
+        // Each stored sketch is merged into the empty one of the geometry
+        // `sketch_cfg` gives, which is what every resumed shard produces:
+        // a sketch that disagrees with it is damage here, not a failed
+        // merge at the resumed sweep's first shard.
+        let damaged = |e: SketchError| FleetError::Corrupt(format!("checkpoint {e}"));
+        QuantileSketch::from_json_value(sub("reduction_q")?)
+            .and_then(|q| state.reduction_q.merge(&q))
+            .map_err(damaged)?;
+        FixedHistogram::from_json_value(sub("reduction_hist")?)
+            .and_then(|h| state.reduction_hist.merge(&h))
+            .map_err(damaged)?;
+        CountMinSketch::from_json_value(sub("attribution")?)
+            .and_then(|cm| state.attribution.merge(&cm))
+            .map_err(damaged)?;
+        state.devices_done = num("devices_done")?;
+        state.regressed = num("regressed")?;
+        state.completed = completed;
+        state.quarantined = quarantined;
+        Ok(state)
     }
 }
 

@@ -15,11 +15,27 @@
 //! device `i` gets the same profile no matter which shard, worker, or
 //! resumed run evaluates it.
 
+use std::sync::OnceLock;
+
 use pim_energy::EnergyParams;
 use pim_faults::SplitMix64;
 
 /// Golden-ratio increment used to derive independent per-device streams.
 const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Every DRAM class, in declaration (discriminant) order.
+const DRAM_CLASSES: [DramClass; 3] = [DramClass::Lpddr3Low, DramClass::Lpddr3, DramClass::Lpddr4];
+/// Every fault class, in declaration (discriminant) order.
+const FAULT_CLASSES: [FaultClass; 4] =
+    [FaultClass::None, FaultClass::Low, FaultClass::High, FaultClass::Severe];
+/// The LLC sizes the sampler draws, in KiB: `256 << i` for index `i`.
+const CACHE_KB: [u32; 4] = [256, 512, 1024, 2048];
+/// The thermal envelopes the sampler draws, in centi-units:
+/// `THERMAL_MIN_CENTI + i` for `i < THERMAL_LEVELS`.
+const THERMAL_MIN_CENTI: u32 = 60;
+const THERMAL_LEVELS: usize = 41;
+/// A workload's weight in a mix is 0..=100 percent.
+const WEIGHT_LEVELS: usize = 101;
 
 /// DRAM class of a sampled device: sets the off-chip energy scale and
 /// the CPU path's array energy.
@@ -159,16 +175,16 @@ impl DeviceProfile {
 /// reports query each candidate and rank the estimates.
 pub fn token_vocabulary() -> Vec<String> {
     let mut v = Vec::new();
-    for d in [DramClass::Lpddr3Low, DramClass::Lpddr3, DramClass::Lpddr4] {
+    for d in DRAM_CLASSES {
         v.push(format!("dram:{}", d.label()));
     }
-    for kb in [256u32, 512, 1024, 2048] {
+    for kb in CACHE_KB {
         v.push(format!("cache:{kb}k"));
     }
     for t in ["tight", "warm", "cool"] {
         v.push(format!("thermal:{t}"));
     }
-    for f in [FaultClass::None, FaultClass::Low, FaultClass::High, FaultClass::Severe] {
+    for f in FAULT_CLASSES {
         v.push(format!("faults:{}", f.label()));
     }
     for m in ["chrome", "tf", "video"] {
@@ -189,8 +205,8 @@ pub fn sample_profile(seed: u64, device: u64) -> DeviceProfile {
         25..=74 => DramClass::Lpddr3,
         _ => DramClass::Lpddr4,
     };
-    let cache_kb = [256u32, 512, 1024, 2048][rng.next_below(4) as usize];
-    let thermal_centi = 60 + rng.next_below(41) as u32;
+    let cache_kb = CACHE_KB[rng.next_below(CACHE_KB.len() as u64) as usize];
+    let thermal_centi = THERMAL_MIN_CENTI + rng.next_below(THERMAL_LEVELS as u64) as u32;
     let faults = match rng.next_below(100) {
         0..=69 => FaultClass::None,
         70..=89 => FaultClass::Low,
@@ -226,6 +242,9 @@ const TF: Traffic =
     Traffic { ops: 1.4, bytes_per_op: 6.0, simd_frac: 0.55, offload_frac: 0.60, row_acts_per_kop: 2.0 };
 const VIDEO: Traffic =
     Traffic { ops: 1.8, bytes_per_op: 14.0, simd_frac: 0.45, offload_frac: 0.85, row_acts_per_kop: 4.0 };
+
+/// The workloads in the order the closed form sums them.
+const WORKLOADS: [&Traffic; 3] = [&CHROME, &TF, &VIDEO];
 
 /// How much of the CPU path's traffic misses the cache, by LLC size.
 fn miss_factor(cache_kb: u32) -> f64 {
@@ -305,6 +324,130 @@ pub fn energy_reduction_shifted_bp(p: &DeviceProfile, params: &EnergyParams) -> 
     (reduction_bp.clamp(-10_000, 10_000) + 10_000) as u64
 }
 
+/// The closed form's per-device terms for one [`EnergyParams`], so that a
+/// sweep evaluates each device by lookups instead of re-deriving them.
+///
+/// Each term depends on at most four small discrete profile fields:
+/// `cpu` on (workload, weight, DRAM class, cache size), `pim_unit` on
+/// (workload, weight) and `attempted` on (workload, thermal envelope).
+/// Every stored value is a whole sub-expression of
+/// [`energy_reduction_shifted_bp`], computed by the same expression in the
+/// same order, and [`EnergyTerms::reduction_shifted_bp`] combines them in
+/// that function's order, so the two return the same value: a test checks
+/// every one of the 10,137,168 profiles the sampler can draw. A weight-0
+/// workload, which the closed form skips, adds exact zeros here.
+pub(crate) struct EnergyTerms {
+    params: EnergyParams,
+    /// Per workload and weight, at `workload * WEIGHT_LEVELS + weight`.
+    /// On the heap (31.5 KB), so that building it copies no large value
+    /// through the stack.
+    by_weight: Vec<WeightTerms>,
+    /// `attempted` per workload and thermal level.
+    attempted: [[f64; THERMAL_LEVELS]; WORKLOADS.len()],
+    /// `availability` per `FaultClass as usize`.
+    availability: [f64; FAULT_CLASSES.len()],
+}
+
+/// One workload's terms at one weight.
+struct WeightTerms {
+    /// `cpu` per `DramClass as usize * 4 + cache index`.
+    cpu: [f64; DRAM_CLASSES.len() * CACHE_KB.len()],
+    pim_unit: f64,
+}
+
+impl EnergyTerms {
+    fn new(params: &EnergyParams) -> Self {
+        let mut by_weight = Vec::with_capacity(WORKLOADS.len() * WEIGHT_LEVELS);
+        let mut attempted = [[0.0; THERMAL_LEVELS]; WORKLOADS.len()];
+        for (k, t) in WORKLOADS.into_iter().enumerate() {
+            for weight in 0..WEIGHT_LEVELS as u32 {
+                let ops = f64::from(weight) * t.ops;
+                let bits_pim = ops * t.bytes_per_op * 8.0;
+                let cpu_compute = ops
+                    * (params.cpu_op_pj * (1.0 - t.simd_frac) + params.cpu_simd_pj * t.simd_frac);
+                let mut cpu = [0.0; DRAM_CLASSES.len() * CACHE_KB.len()];
+                for (d, dram) in DRAM_CLASSES.into_iter().enumerate() {
+                    let offchip_pj_per_bit = params.offchip_pj_per_bit * dram.offchip_scale();
+                    for (c, cache_kb) in CACHE_KB.into_iter().enumerate() {
+                        let bits_cpu = ops * t.bytes_per_op * 8.0 * miss_factor(cache_kb);
+                        let cpu_movement = bits_cpu
+                            * (offchip_pj_per_bit + params.lpddr3_array_pj_per_bit)
+                            + ops / 1000.0 * t.row_acts_per_kop * params.row_activate_pj;
+                        cpu[d * CACHE_KB.len() + c] = cpu_compute + cpu_movement;
+                    }
+                }
+                let pim_unit = ops * params.accel_op_pj
+                    + bits_pim * params.stacked_internal_pj_per_bit
+                    + ops / 100.0 * params.coherence_msg_pj;
+                by_weight.push(WeightTerms { cpu, pim_unit });
+            }
+            for (i, attempted) in attempted[k].iter_mut().enumerate() {
+                let thermal = f64::from(THERMAL_MIN_CENTI + i as u32) / 100.0;
+                *attempted = t.offload_frac * thermal;
+            }
+        }
+        Self {
+            params: *params,
+            by_weight,
+            attempted,
+            availability: FAULT_CLASSES.map(FaultClass::availability),
+        }
+    }
+
+    /// The terms of [`EnergyParams::default`], the params every sweep
+    /// prices devices with, built on the first call.
+    pub(crate) fn for_default_params() -> &'static Self {
+        static TERMS: OnceLock<EnergyTerms> = OnceLock::new();
+        TERMS.get_or_init(|| Self::new(&EnergyParams::default()))
+    }
+
+    /// [`energy_reduction_shifted_bp`] of `p`, by lookups when the sampler
+    /// could have drawn `p` and by the closed form otherwise (the
+    /// profile's fields are public).
+    pub(crate) fn reduction_shifted_bp(&self, p: &DeviceProfile) -> u64 {
+        self.lookup(p).unwrap_or_else(|| energy_reduction_shifted_bp(p, &self.params))
+    }
+
+    /// The lookup evaluation, or `None` outside the sampled domain: a mix
+    /// that does not sum to 100, an unlisted cache size or a thermal
+    /// envelope outside 60..=100. The indices are computed, not matched,
+    /// so a random profile costs no mispredicted branch.
+    fn lookup(&self, p: &DeviceProfile) -> Option<u64> {
+        let weights = [p.mix.chrome, p.mix.tf, p.mix.video];
+        // 256 << i has i + 8 trailing zeros.
+        let cache = p.cache_kb.trailing_zeros().wrapping_sub(8) as usize;
+        let thermal = p.thermal_centi.wrapping_sub(THERMAL_MIN_CENTI) as usize;
+        if weights.iter().map(|&w| u64::from(w)).sum::<u64>() != 100
+            || CACHE_KB.get(cache) != Some(&p.cache_kb)
+            || thermal >= THERMAL_LEVELS
+        {
+            return None;
+        }
+        let config = p.dram as usize * CACHE_KB.len() + cache;
+        let availability = self.availability[p.faults as usize];
+
+        let mut cpu_total = 0.0f64;
+        let mut pim_total = 0.0f64;
+        for (k, weight) in weights.into_iter().enumerate() {
+            let terms = &self.by_weight[k * WEIGHT_LEVELS + weight as usize];
+            let cpu = terms.cpu[config];
+            let pim_unit = terms.pim_unit;
+            let attempted = self.attempted[k][thermal];
+            let succeeded = attempted * availability;
+            let wasted = attempted - succeeded;
+            let pim =
+                succeeded * pim_unit + wasted * RETRY_WASTE * pim_unit + (1.0 - succeeded) * cpu;
+            cpu_total += cpu;
+            pim_total += pim;
+        }
+
+        // A mix summing to 100 gives some workload a positive weight, so
+        // `cpu_total > 0` and the closed form's zero-energy case cannot arise.
+        let reduction_bp = (((cpu_total - pim_total) / cpu_total) * 10_000.0).round() as i64;
+        Some((reduction_bp.clamp(-10_000, 10_000) + 10_000) as u64)
+    }
+}
+
 /// Convenience: shifted basis points back to signed basis points.
 pub fn shifted_to_signed_bp(shifted: u64) -> i64 {
     shifted as i64 - 10_000
@@ -374,6 +517,73 @@ mod tests {
             shifted_to_signed_bp(energy_reduction_shifted_bp(&healthy, &EnergyParams::default()));
         assert!(bp < 0, "tail config must regress outright, got {bp} bp");
         assert!(bp < healthy_bp / 2, "tail config {bp} bp vs healthy {healthy_bp} bp");
+    }
+
+    #[test]
+    fn precomputed_terms_match_the_closed_form_on_every_reachable_profile() {
+        let params = EnergyParams::default();
+        let terms = EnergyTerms::for_default_params();
+        let mut checked = 0u64;
+        for dram in DRAM_CLASSES {
+            for cache_kb in CACHE_KB {
+                for thermal_centi in (0..THERMAL_LEVELS as u32).map(|i| THERMAL_MIN_CENTI + i) {
+                    for faults in FAULT_CLASSES {
+                        for chrome in 0..=100u32 {
+                            for tf in 0..=100 - chrome {
+                                let p = DeviceProfile {
+                                    device: 0,
+                                    dram,
+                                    cache_kb,
+                                    thermal_centi,
+                                    faults,
+                                    mix: WorkloadMix { chrome, tf, video: 100 - chrome - tf },
+                                };
+                                let want = energy_reduction_shifted_bp(&p, &params);
+                                assert_eq!(terms.lookup(&p), Some(want), "{p:?}");
+                                checked += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        // 3 DRAM × 4 cache × 41 thermal × 4 fault × 5,151 mixes.
+        assert_eq!(checked, 10_137_168);
+    }
+
+    #[test]
+    fn profiles_outside_the_sampled_domain_take_the_closed_form() {
+        let params = EnergyParams::default();
+        let terms = EnergyTerms::for_default_params();
+        let base = DeviceProfile {
+            device: 0,
+            dram: DramClass::Lpddr4,
+            cache_kb: 512,
+            thermal_centi: 80,
+            faults: FaultClass::High,
+            mix: WorkloadMix { chrome: 30, tf: 30, video: 40 },
+        };
+        assert!(terms.lookup(&base).is_some());
+        let mix =
+            |chrome, tf, video| DeviceProfile { mix: WorkloadMix { chrome, tf, video }, ..base };
+        let outside = [
+            mix(101, 0, 0),
+            mix(150, 20, 30),
+            mix(u32::MAX, 1, 0),
+            mix(30, 30, 30),
+            DeviceProfile { cache_kb: 0, ..base },
+            DeviceProfile { cache_kb: 128, ..base },
+            DeviceProfile { cache_kb: 768, ..base },
+            DeviceProfile { cache_kb: 4096, ..base },
+            DeviceProfile { cache_kb: u32::MAX, ..base },
+            DeviceProfile { thermal_centi: 59, ..base },
+            DeviceProfile { thermal_centi: 101, ..base },
+            DeviceProfile { thermal_centi: 0, ..base },
+        ];
+        for p in outside {
+            assert_eq!(terms.lookup(&p), None, "{p:?}");
+            assert_eq!(terms.reduction_shifted_bp(&p), energy_reduction_shifted_bp(&p, &params));
+        }
     }
 
     #[test]

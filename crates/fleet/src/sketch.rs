@@ -230,11 +230,15 @@ impl QuantileSketch {
 
     /// Inverse of [`QuantileSketch::to_json_value`].
     pub fn from_json_value(v: &JsonValue) -> Result<Self, SketchError> {
+        // Refused, not clamped like `new` does: a clamped `m` would read
+        // the stored bucket indices at another resolution.
         let m = v
             .get("m")
             .and_then(JsonValue::as_u64)
-            .ok_or_else(|| SketchError::Corrupt("quantile sketch missing m".into()))?;
-        let mut s = Self::new(u32::try_from(m).unwrap_or(16));
+            .and_then(|m| u32::try_from(m).ok())
+            .filter(|m| (1..=16).contains(m))
+            .ok_or_else(|| SketchError::Corrupt("quantile sketch m".into()))?;
+        let mut s = Self::new(m);
         s.count = v
             .get("count")
             .and_then(JsonValue::as_u64)
@@ -603,6 +607,28 @@ mod tests {
         assert_eq!(h, h2);
         assert_eq!(cm, cm2);
         assert_eq!(q.to_json_value().render(), q2.to_json_value().render());
+    }
+
+    #[test]
+    fn quantile_resolution_outside_1_to_16_is_refused() {
+        let stored = |m: u64| {
+            JsonValue::object()
+                .set("m", m)
+                .set("count", 0u64)
+                .set("sum", 0u64)
+                .set("buckets", JsonValue::array())
+        };
+        for m in [1u64, 16] {
+            let v = stored(m);
+            assert_eq!(QuantileSketch::from_json_value(&v).unwrap().sub_bits(), m as u32);
+        }
+        for m in [0u64, 17, u64::from(u32::MAX) + 1] {
+            let v = stored(m);
+            assert!(
+                matches!(QuantileSketch::from_json_value(&v), Err(SketchError::Corrupt(_))),
+                "m = {m}"
+            );
+        }
     }
 
     #[test]

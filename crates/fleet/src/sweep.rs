@@ -27,13 +27,12 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use pim_chaos::ChaosConfig;
-use pim_energy::EnergyParams;
 use pim_faults::DmpimError;
 use pim_harness::{Harness, HarnessPolicy, Job, JobStatus};
 use pim_trace::{JsonValue, Tracer};
 
 use crate::checkpoint::{load_checkpoint, write_checkpoint, FleetState, QuarantineRecord, SweepKey};
-use crate::profile::{energy_reduction_shifted_bp, sample_profile, shifted_to_signed_bp, token_vocabulary};
+use crate::profile::{sample_profile, shifted_to_signed_bp, token_vocabulary, EnergyTerms};
 use crate::sketch::{CountMinSketch, FixedHistogram, QuantileSketch, SketchConfig};
 use crate::FleetError;
 
@@ -184,11 +183,12 @@ impl ShardSummary {
     }
 }
 
-/// Evaluate one shard: sample each device's profile, run the analytic
-/// energy model, fold into shard-local sketches. Pure function of its
-/// arguments.
+/// Evaluate one shard: sample each device's profile, price it with the
+/// analytic energy model at [`pim_energy::EnergyParams::default`] from
+/// the model's precomputed terms, fold into shard-local sketches. Pure
+/// function of its arguments.
 pub fn evaluate_shard(seed: u64, start: u64, devices: u64, cfg: SketchConfig) -> ShardSummary {
-    let params = EnergyParams::default();
+    let terms = EnergyTerms::for_default_params();
     let mut s = ShardSummary {
         start,
         devices: 0,
@@ -199,7 +199,7 @@ pub fn evaluate_shard(seed: u64, start: u64, devices: u64, cfg: SketchConfig) ->
     };
     for d in start..start + devices {
         let profile = sample_profile(seed, d);
-        let shifted = energy_reduction_shifted_bp(&profile, &params);
+        let shifted = terms.reduction_shifted_bp(&profile);
         s.reduction_q.observe(shifted);
         s.reduction_hist.observe(shifted);
         if shifted < SHIFTED_ZERO_BP {
@@ -272,6 +272,10 @@ pub fn run_fleet(cfg: &FleetConfig, tracer: &Tracer) -> Result<FleetOutcome, Fle
         ..HarnessPolicy::default()
     };
     let batch_size = (cfg.workers.max(1) * 2).max(4);
+    // Build the energy terms on this thread, before the first batch. Built
+    // lazily in the first shard job instead, on a pool worker, they raised
+    // the 1M-device sweep's peak RSS from ~3.35 to ~3.45 MB (2-vCPU host).
+    EnergyTerms::for_default_params();
 
     let mut processed = 0u64;
     let mut checkpoint_writes = 0u64;
@@ -635,6 +639,53 @@ mod tests {
         let clean = run_fleet(&FleetConfig { checkpoint: None, ..cfg }, &Tracer::disabled()).unwrap();
         assert_eq!(fleet_report(&out.state).render(), fleet_report(&clean.state).render());
         let _ = std::fs::remove_file(&ckpt);
+    }
+
+    /// Stop a 10,000-device sweep in 1,000-device shards on one worker
+    /// after 6 shards, so that one checkpoint (the first 4-shard batch) is
+    /// on disk; replace `from` with `to` in it; then resume. The resume
+    /// must discard the checkpoint and match an uninterrupted sweep.
+    fn resume_after_editing_the_checkpoint(tag: &str, from: &str, to: &str) {
+        let ckpt = temp_path(tag);
+        let _ = std::fs::remove_file(&ckpt);
+        let cfg = FleetConfig {
+            devices: 10_000,
+            shard_size: 1_000,
+            workers: 1,
+            checkpoint: Some(ckpt.clone()),
+            ..FleetConfig::default()
+        };
+        let killed = run_fleet(
+            &FleetConfig { stop_after_shards: Some(6), ..cfg.clone() },
+            &Tracer::disabled(),
+        )
+        .unwrap();
+        assert_eq!(killed.checkpoint_writes, 1);
+        let text = std::fs::read_to_string(&ckpt).unwrap();
+        assert_eq!(text.matches(from).count(), 1, "{from} in {text}");
+        std::fs::write(&ckpt, text.replacen(from, to, 1)).unwrap();
+
+        let resumed = run_fleet(&cfg, &Tracer::disabled()).unwrap();
+        assert!(resumed.recovered_from_corrupt_checkpoint);
+        let clean =
+            run_fleet(&FleetConfig { checkpoint: None, ..cfg }, &Tracer::disabled()).unwrap();
+        assert_eq!(fleet_report(&resumed.state).render(), fleet_report(&clean.state).render());
+        let _ = std::fs::remove_file(&ckpt);
+    }
+
+    #[test]
+    fn checkpoint_whose_sub_bits_disagree_with_its_sketch_is_recomputed() {
+        resume_after_editing_the_checkpoint("sub-bits", "\"sub_bits\":6", "\"sub_bits\":5");
+    }
+
+    #[test]
+    fn checkpoint_whose_quantile_sketch_disagrees_with_sub_bits_is_recomputed() {
+        resume_after_editing_the_checkpoint("quantile-m", "\"m\":6", "\"m\":5");
+    }
+
+    #[test]
+    fn checkpoint_whose_cm_width_disagrees_with_its_sketch_is_recomputed() {
+        resume_after_editing_the_checkpoint("cm-width", "\"cm_width\":1024", "\"cm_width\":512");
     }
 
     #[test]
