@@ -9,7 +9,6 @@
 //! cargo run -p pim-bench --release --bin repro -- --json --jobs 4 --resume sweep.jsonl
 //! cargo run -p pim-bench --release --bin repro -- --trace trace.json --metrics metrics.json
 //! cargo run -p pim-bench --release --bin repro -- --explain          # attribution + BENCH_explain.json
-//! cargo run -p pim-bench --release --bin repro -- --json --profile   # wall-clock phase table on stderr
 //! cargo run -p pim-bench --release --bin repro -- --perf-gate        # history vs BENCH_baseline.json
 //! cargo run -p pim-bench --release --bin repro -- --selftest-harness
 //! ```
@@ -29,12 +28,12 @@
 //! hung simulation and verifies the harness isolates both.
 //!
 //! Observability mode (see `DESIGN.md` §4h): `--explain` runs the
-//! bottleneck-attribution sweep (per-kernel × per-mode cycle/energy
-//! breakdowns across six cost components), prints the table plus a
-//! component-wise account of the measured-vs-paper headline speedup gap,
-//! and archives `BENCH_explain.json`. `--profile` turns on the pim-obs
-//! self-profiler (a no-op branch when off — asserted <5% overhead by the
-//! `profiler_overhead` bench) and prints the phase table to stderr.
+//! scorecard sweep and renders its runs' bottleneck attribution
+//! (per-kernel × per-mode cycle/energy breakdowns across six cost
+//! components): the table plus a component-wise account of the
+//! measured-vs-paper headline speedup gap, archived as
+//! `BENCH_explain.json`. It takes `--jobs`, `--journal` and `--resume`
+//! like `--json`, and fails when a kernel × mode has no readable record.
 //! `--perf-gate` medians the recent `BENCH_history.jsonl` runs (appended
 //! by every `--json` sweep) against the committed `BENCH_baseline.json`
 //! budgets: machine-speed-corrected, warn >10%, fail >25%, noise floor
@@ -87,7 +86,6 @@ struct Cli {
     list: bool,
     json: bool,
     explain: bool,
-    profile: bool,
     perf_gate: bool,
     selftest: bool,
     fleet: bool,
@@ -118,7 +116,6 @@ fn parse(args: &[String]) -> Result<Cli, String> {
         list: false,
         json: false,
         explain: false,
-        profile: false,
         perf_gate: false,
         selftest: false,
         fleet: false,
@@ -149,7 +146,6 @@ fn parse(args: &[String]) -> Result<Cli, String> {
             "--list" => cli.list = true,
             "--json" => cli.json = true,
             "--explain" => cli.explain = true,
-            "--profile" => cli.profile = true,
             "--perf-gate" => cli.perf_gate = true,
             "--selftest-harness" => cli.selftest = true,
             "--fleet" => cli.fleet = true,
@@ -301,7 +297,7 @@ fn main() -> ExitCode {
             eprintln!("error: {e}");
             eprintln!(
                 "usage: repro [--list | --experiment <id> | --json | --explain | --perf-gate | \
-                 --selftest-harness | --trace <path>] [--metrics <path>] [--profile] [--jobs <n>] \
+                 --selftest-harness | --trace <path>] [--metrics <path>] [--jobs <n>] \
                  [--journal <path> | --resume <path>] [--fsync off|data|full]\n\
                  \x20      repro --serve <addr> [--jobs <n>] [--journal <path>] \
                  [--quota <n>] [--queue-depth <n>] [--fsync off|data|full]\n\
@@ -321,29 +317,16 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    // The self-profiler: disabled it never reads the clock (see the
-    // profiler_overhead bench); --profile turns it on and prints the
-    // phase table to stderr after the command finishes.
-    let profiler =
-        if cli.profile { pim_obs::Profiler::new() } else { pim_obs::Profiler::disabled() };
-    let code = dispatch(&cli, &profiler);
-    if cli.profile {
-        eprint!("{}", profiler.render_table());
-    }
-    code
-}
-
-fn dispatch(cli: &Cli, profiler: &pim_obs::Profiler) -> ExitCode {
     if cli.perf_gate {
         return perf_gate();
     }
 
     if cli.fleet {
-        return fleet(cli, profiler);
+        return fleet(&cli);
     }
 
     if cli.explain {
-        return explain(cli, profiler);
+        return explain(&cli);
     }
 
     if let Some(addr) = &cli.serve {
@@ -382,11 +365,11 @@ fn dispatch(cli: &Cli, profiler: &pim_obs::Profiler) -> ExitCode {
     }
 
     if cli.selftest {
-        return selftest(cli);
+        return selftest(&cli);
     }
 
     if cli.json {
-        return json_scorecard(cli, profiler);
+        return json_scorecard(&cli);
     }
 
     if cli.trace.is_some() || cli.metrics.is_some() {
@@ -422,13 +405,13 @@ fn dispatch(cli: &Cli, profiler: &pim_obs::Profiler) -> ExitCode {
         };
     }
 
-    all_experiments(cli, profiler)
+    all_experiments(&cli)
 }
 
 /// `--fleet`: the crash-safe population sweep (see `DESIGN.md` §4i).
 /// Writes the deterministic `BENCH_fleet.json` report and appends a
 /// `fleet-sweep` timing line for the perf gate.
-fn fleet(cli: &Cli, profiler: &pim_obs::Profiler) -> ExitCode {
+fn fleet(cli: &Cli) -> ExitCode {
     let opts = pim_bench::fleet_cli::FleetOptions {
         devices: cli.devices,
         seed: cli.seed,
@@ -441,14 +424,11 @@ fn fleet(cli: &Cli, profiler: &pim_obs::Profiler) -> ExitCode {
         shard_delay_ms: cli.fleet_shard_delay_ms,
         ..pim_bench::fleet_cli::FleetOptions::default()
     };
-    let outcome = {
-        let _scope = profiler.scope("repro/fleet/sweep");
-        match pim_bench::fleet_cli::run_fleet_cli(&opts) {
-            Ok(out) => out,
-            Err(e) => {
-                eprintln!("fleet sweep: {e}");
-                return ExitCode::FAILURE;
-            }
+    let outcome = match pim_bench::fleet_cli::run_fleet_cli(&opts) {
+        Ok(out) => out,
+        Err(e) => {
+            eprintln!("fleet sweep: {e}");
+            return ExitCode::FAILURE;
         }
     };
     if !outcome.state.quarantined.is_empty() {
@@ -484,32 +464,32 @@ fn perf_gate() -> ExitCode {
     }
 }
 
-/// `--explain`: the cross-layer attribution sweep. Prints the human
-/// table + headline-gap prose and archives `BENCH_explain.json`.
-fn explain(cli: &Cli, profiler: &pim_obs::Profiler) -> ExitCode {
-    let (records, report) = {
-        let _scope = profiler.scope("repro/explain/sweep");
-        match pim_bench::explain::explain_sweep(false, cli.policy(), profiler) {
-            Ok(out) => out,
-            Err(e) => {
-                eprintln!("harness error: {e}");
-                return ExitCode::FAILURE;
-            }
+/// `--explain`: the scorecard sweep's attribution records. Prints the
+/// human table + headline-gap prose and archives `BENCH_explain.json`.
+fn explain(cli: &Cli) -> ExitCode {
+    let (journal, resume) = cli.journal();
+    let out = match pim_bench::jobs::scorecard_sweep(false, cli.policy(), journal, resume) {
+        Ok(out) => out,
+        Err(e) => {
+            eprintln!("harness error: {e}");
+            return ExitCode::FAILURE;
         }
     };
+    let records = out.explain_records();
     print!("{}", pim_bench::explain::explain_text(&records));
-    let doc = {
-        let _scope = profiler.scope("repro/explain/render");
-        pim_bench::explain::explain_json(&records, &report)
-    };
+    let doc = pim_bench::explain::explain_json(&records, &out.report);
     if let Err(e) = std::fs::write("BENCH_explain.json", doc) {
         eprintln!("failed to write BENCH_explain.json: {e}");
         return ExitCode::FAILURE;
     }
     eprintln!("wrote BENCH_explain.json ({} records)", records.len());
-    let summary = report.summary();
+    let summary = out.report.summary();
     eprintln!("harness: {}", summary.one_line());
-    if summary.all_ok() {
+    let failures = pim_bench::scorecard::gate_failures(&[], &out.missing, Some(&summary));
+    for f in &failures {
+        eprintln!("explain: {f}");
+    }
+    if failures.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
@@ -519,20 +499,17 @@ fn explain(cli: &Cli, profiler: &pim_obs::Profiler) -> ExitCode {
 /// The default run: every experiment as a supervised harness job. One
 /// panicking or hung experiment no longer kills the whole regeneration —
 /// its siblings complete and the failure report says what broke.
-fn all_experiments(cli: &Cli, profiler: &pim_obs::Profiler) -> ExitCode {
+fn all_experiments(cli: &Cli) -> ExitCode {
     let mut harness = pim_harness::Harness::new(cli.policy());
     let (journal, resume) = cli.journal();
     if let Some(path) = journal {
         harness = if resume { harness.resume_from(path) } else { harness.with_journal(path) };
     }
-    let report = {
-        let _scope = profiler.scope("repro/all/sweep");
-        match harness.run(pim_bench::jobs::experiment_jobs()) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("harness error: {e}");
-                return ExitCode::FAILURE;
-            }
+    let report = match harness.run(pim_bench::jobs::experiment_jobs()) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("harness error: {e}");
+            return ExitCode::FAILURE;
         }
     };
     for r in &report.results {
@@ -557,27 +534,24 @@ fn all_experiments(cli: &Cli, profiler: &pim_obs::Profiler) -> ExitCode {
 }
 
 /// `--json`: the harness-driven scorecard sweep, with CI gating.
-fn json_scorecard(cli: &Cli, profiler: &pim_obs::Profiler) -> ExitCode {
+fn json_scorecard(cli: &Cli) -> ExitCode {
     let t0 = Instant::now();
     let (journal, resume) = cli.journal();
-    let (entries, report, timings) = {
-        let _scope = profiler.scope("repro/json/sweep");
-        match pim_bench::jobs::scorecard_sweep(false, cli.policy(), journal, resume) {
-            Ok(out) => out,
-            Err(e) => {
-                eprintln!("harness error: {e}");
-                return ExitCode::FAILURE;
-            }
+    let out = match pim_bench::jobs::scorecard_sweep(false, cli.policy(), journal, resume) {
+        Ok(out) => out,
+        Err(e) => {
+            eprintln!("harness error: {e}");
+            return ExitCode::FAILURE;
         }
     };
-    let _render_scope = profiler.scope("repro/json/render-and-write");
-    let doc = pim_bench::scorecard::to_json_with_harness(&entries, Some(&report));
+    let (entries, report) = (out.entries(), &out.report);
+    let doc = pim_bench::scorecard::to_json_with_harness(&entries, Some(report));
     println!("{doc}");
     let wall_ms = t0.elapsed().as_millis() as u64;
     // Per-experiment wall times, collected outside the journal so resumed
     // sweeps keep bit-identical results (resumed jobs have no entry here).
     // Aggregated across attempts: a retried job reports total ms + count.
-    let aggregated = pim_bench::jobs::aggregate_timings(&timings);
+    let aggregated = pim_bench::jobs::aggregate_timings(&out.timings);
     let mut exps = JsonValue::array();
     for (id, ms, attempts) in &aggregated {
         exps = exps.push(
@@ -607,7 +581,7 @@ fn json_scorecard(cli: &Cli, profiler: &pim_obs::Profiler) -> ExitCode {
     }
 
     let summary = report.summary();
-    let failures = pim_bench::scorecard::gate_failures(&entries, Some(&summary));
+    let failures = pim_bench::scorecard::gate_failures(&entries, &out.missing, Some(&summary));
     if failures.is_empty() {
         eprintln!("gate: ok ({})", summary.one_line());
         ExitCode::SUCCESS

@@ -1,30 +1,28 @@
-//! The attribution sweep behind `repro --explain`.
+//! The attribution behind `repro --explain`.
 //!
-//! Re-runs the nine-kernel catalog across the three study modes and
-//! converts each run's [`pim_core::CostBreakdown`] and
-//! [`pim_core::EnergyBreakdown`] into [`pim_obs::ExplainRecord`]s — one
-//! per experiment × platform. The sweep rides the same supervised
-//! harness as the scorecard, with record lines as the job payloads, so
-//! `--jobs 1` and parallel runs produce bit-identical attributions (the
-//! floats travel as shortest-round-trip strings and the harness merges
-//! results in submission order).
+//! Converts each run's [`pim_core::CostBreakdown`] and
+//! [`pim_core::EnergyBreakdown`] into a [`pim_obs::ExplainRecord`] — one
+//! per experiment × platform. The records come from the scorecard sweep
+//! itself: every job of [`crate::jobs::scorecard_sweep`] carries them in
+//! its payload, so `repro --explain` renders the very runs the
+//! scorecard folds, and `--jobs 1`, parallel and resumed runs produce
+//! bit-identical attributions (the floats travel as shortest-round-trip
+//! decimals and the merge keys records by catalog order).
 //!
 //! The aggregate analysis differences the summed CPU-only attribution
 //! against the summed PIM-Acc attribution to localize the headline
-//! speedup — this reproduction's 2.94× vs the paper's 1.54× — to
-//! specific cost components (see `BENCH_explain.json`'s `headline_gap`).
+//! speedup — this reproduction's 2.94× vs the paper's
+//! [`PAPER_ACC_SPEEDUP`] — to specific cost components (see
+//! `BENCH_explain.json`'s `headline_gap`).
 
-use pim_core::{
-    Component, DmpimError, ExecutionMode, OffloadEngine, RunReport, Tracer,
-    Watchdog,
-};
-use pim_harness::{Harness, HarnessError, HarnessPolicy, SweepReport};
-use pim_obs::{attribute_gap, ExplainRecord, GapAttribution, Profiler};
+use pim_core::{Component, ExecutionMode, RunReport};
+use pim_harness::SweepReport;
+use pim_obs::{attribute_gap, ExplainRecord, GapAttribution};
 use pim_trace::JsonValue;
 
-use crate::jobs::{kernel_catalog, KernelFactory};
+use crate::scorecard::PAPER_ACC_SPEEDUP;
 
-/// Lowercase platform slug used in record lines and JSON.
+/// Lowercase platform slug used in attribution records.
 pub fn mode_slug(mode: ExecutionMode) -> &'static str {
     match mode {
         ExecutionMode::CpuOnly => "cpu-only",
@@ -68,60 +66,6 @@ pub fn record_from_report(kernel: &str, report: &RunReport) -> ExplainRecord {
         mpki: report.mpki,
         bytes_moved: act.offchip_bytes + act.internal_bytes,
     }
-}
-
-/// Separator between the three per-mode record lines inside one job
-/// payload (record lines never contain it).
-const RECORD_SEP: char = ';';
-
-/// Measure one kernel's attribution across the three study modes,
-/// encoded as a single `;`-joined payload line.
-fn measure_explain(
-    name: &'static str,
-    factory: KernelFactory,
-    tracer: &Tracer,
-    watchdog: Watchdog,
-    profiler: &Profiler,
-) -> Result<String, DmpimError> {
-    let engine = OffloadEngine::new().with_tracer(tracer).with_watchdog(watchdog);
-    let mut kernel = factory();
-    let mut lines = Vec::with_capacity(3);
-    for mode in ExecutionMode::ALL {
-        let _scope = profiler.scope(&format!("explain/{name}/{}", mode_slug(mode)));
-        let report = engine.try_run(kernel.as_mut(), mode)?;
-        lines.push(record_from_report(name, &report).to_line());
-    }
-    Ok(lines.iter().map(String::as_str).collect::<Vec<_>>().join(&RECORD_SEP.to_string()))
-}
-
-/// Outcome of [`explain_sweep`]: records in catalog × mode order plus
-/// the harness failure report.
-pub type ExplainOutcome = (Vec<ExplainRecord>, SweepReport);
-
-/// Run the attribution sweep through the supervised harness.
-pub fn explain_sweep(
-    smoke: bool,
-    policy: HarnessPolicy,
-    profiler: &Profiler,
-) -> Result<ExplainOutcome, HarnessError> {
-    let jobs = kernel_catalog(smoke)
-        .into_iter()
-        .map(|(name, _kind, factory)| {
-            let profiler = profiler.clone();
-            pim_harness::Job::new(format!("explain:{name}"), move |ctx: &pim_harness::JobCtx| {
-                measure_explain(name, factory, &ctx.tracer, ctx.watchdog, &profiler)
-            })
-        })
-        .collect();
-    let report = Harness::new(policy).run(jobs)?;
-    let records = report
-        .results
-        .iter()
-        .filter_map(|r| r.output.as_deref())
-        .flat_map(|payload| payload.split(RECORD_SEP))
-        .filter_map(ExplainRecord::parse_line)
-        .collect();
-    Ok((records, report))
 }
 
 /// The aggregate headline analysis: summed CPU-only vs summed PIM-Acc
@@ -206,7 +150,7 @@ pub fn explain_json(records: &[ExplainRecord], report: &SweepReport) -> String {
         doc = doc.set(
             "headline_gap",
             JsonValue::object()
-                .set("paper_speedup", 1.54)
+                .set("paper_speedup", PAPER_ACC_SPEEDUP)
                 .set("measured_speedup", h.measured_speedup)
                 .set("cpu_total", h.cpu_total.to_json_value())
                 .set("acc_total", h.acc_total.to_json_value())
@@ -225,7 +169,7 @@ pub fn explain_text(records: &[ExplainRecord]) -> String {
         let (label, share) = h.gap.dominant();
         out.push('\n');
         out.push_str(&format!(
-            "headline: measured mean PIM-Acc speedup {:.2}x (paper: 1.54x)\n",
+            "headline: measured mean PIM-Acc speedup {:.2}x (paper: {PAPER_ACC_SPEEDUP:.2}x)\n",
             h.measured_speedup
         ));
         out.push_str(&format!(
@@ -251,10 +195,20 @@ pub fn explain_text(records: &[ExplainRecord]) -> String {
 
 #[cfg(test)]
 mod tests {
+    use pim_harness::HarnessPolicy;
+
     use super::*;
+    use crate::jobs::{kernel_catalog, scorecard_sweep};
+
+    fn sweep_records(workers: usize) -> (Vec<ExplainRecord>, SweepReport) {
+        let policy = HarnessPolicy { workers, ..Default::default() };
+        let out = scorecard_sweep(true, policy, None, false).unwrap();
+        assert!(out.missing.is_empty(), "{:?}", out.missing);
+        (out.explain_records(), out.report)
+    }
 
     fn smoke_records() -> (Vec<ExplainRecord>, SweepReport) {
-        explain_sweep(true, HarnessPolicy::default(), &Profiler::disabled()).unwrap()
+        sweep_records(HarnessPolicy::default().workers)
     }
 
     #[test]
@@ -314,22 +268,11 @@ mod tests {
 
     #[test]
     fn parallel_sweep_is_bit_identical_to_serial() {
-        let serial = explain_sweep(
-            true,
-            HarnessPolicy { workers: 1, ..Default::default() },
-            &Profiler::disabled(),
-        )
-        .unwrap()
-        .0;
-        let parallel = explain_sweep(
-            true,
-            HarnessPolicy { workers: 4, ..Default::default() },
-            &Profiler::disabled(),
-        )
-        .unwrap()
-        .0;
-        let a: Vec<String> = serial.iter().map(ExplainRecord::to_line).collect();
-        let b: Vec<String> = parallel.iter().map(ExplainRecord::to_line).collect();
-        assert_eq!(a, b, "attribution must not depend on worker count");
+        let render = |records: Vec<ExplainRecord>| -> Vec<String> {
+            records.iter().map(|r| r.to_json_value().render()).collect()
+        };
+        let serial = render(sweep_records(1).0);
+        let parallel = render(sweep_records(4).0);
+        assert_eq!(serial, parallel, "attribution must not depend on worker count");
     }
 }

@@ -4,24 +4,26 @@
 //! modes, or one experiment regenerated — is packaged as a
 //! [`pim_harness::Job`] so the repro CLI gets panic isolation, watchdog
 //! supervision, retry/quarantine policy and journal-based resume for
-//! free. Jobs communicate through their payload *strings* (see
-//! [`KernelMetrics::to_line`]): a result restored from a resume journal
-//! is byte-identical to one computed in-process, which is what makes
-//! resumed scorecards bit-identical to uninterrupted ones.
+//! free. Jobs communicate through their payload *strings*, a JSON array
+//! of [`ModeShard`] records (one per study mode the job ran): a result
+//! restored from a resume journal is byte-identical to one computed
+//! in-process, which is what makes resumed scorecards and attributions
+//! bit-identical to uninterrupted ones.
 
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use pim_core::{
-    DmpimError, ExecutionMode, Kernel, OffloadEngine, OpMix, PimTargetKind, ResiliencePolicy,
-    SimContext, Tracer, Watchdog,
+    DmpimError, ExecutionMode, JsonValue, Kernel, OffloadEngine, OpMix, PimTargetKind,
+    ResiliencePolicy, RunReport, SimContext, Tracer, Watchdog,
 };
 use pim_harness::{Harness, HarnessError, HarnessPolicy, Job, SweepReport};
+use pim_obs::ExplainRecord;
 use pim_vp9::driver::{MotionEstimationKernel, SubPixelInterpolationKernel};
 
 use crate::scorecard::{
-    entries_from_metrics, metrics_from_shards, KernelMetrics, ModeShard, ScorecardEntry,
+    entries_from_metrics, metrics_from_records, KernelMetrics, ModeShard, ScorecardEntry,
 };
 
 /// A capture-free kernel constructor. Plain `fn` pointers (not boxed
@@ -79,8 +81,27 @@ pub fn kernel_catalog(smoke: bool) -> Vec<(&'static str, PimTargetKind, KernelFa
     ]
 }
 
-/// Run one kernel through the three study modes (CPU-only, PIM-Core,
-/// PIM-Acc) and encode the scorecard measurements as a journal line.
+/// Run one kernel instance through the three study modes, in
+/// [`ExecutionMode::ALL`] order (CPU-only, PIM-Core, PIM-Acc).
+fn run_modes(
+    factory: KernelFactory,
+    tracer: &Tracer,
+    watchdog: Watchdog,
+) -> Result<[RunReport; 3], DmpimError> {
+    let engine = OffloadEngine::new().with_tracer(tracer).with_watchdog(watchdog);
+    let mut kernel = factory();
+    let mut run = |mode| engine.try_run(kernel.as_mut(), mode);
+    Ok([run(ExecutionMode::CpuOnly)?, run(ExecutionMode::PimCore)?, run(ExecutionMode::PimAcc)?])
+}
+
+/// Encode per-mode records as one job payload: a JSON array holding one
+/// record per study mode the job ran.
+fn payload(records: impl IntoIterator<Item = ModeShard>) -> String {
+    records.into_iter().fold(JsonValue::array(), |arr, r| arr.push(r.to_json_value())).render()
+}
+
+/// Run one kernel through the three study modes and encode its three
+/// records as a sweep job payload.
 fn measure(
     name: &'static str,
     kind: PimTargetKind,
@@ -88,16 +109,13 @@ fn measure(
     tracer: &Tracer,
     watchdog: Watchdog,
 ) -> Result<String, DmpimError> {
-    let engine = OffloadEngine::new().with_tracer(tracer).with_watchdog(watchdog);
-    let mut kernel = factory();
-    let cpu = engine.try_run(kernel.as_mut(), ExecutionMode::CpuOnly)?;
-    let core = engine.try_run(kernel.as_mut(), ExecutionMode::PimCore)?;
-    let acc = engine.try_run(kernel.as_mut(), ExecutionMode::PimAcc)?;
-    Ok(KernelMetrics::from_reports(name, kind, &cpu, &core, &acc).to_line())
+    let reports = run_modes(factory, tracer, watchdog)?;
+    Ok(payload(reports.iter().map(|r| ModeShard::from_report(name, kind, r))))
 }
 
 /// Measure one catalog kernel by name through the three study modes —
-/// the `pim-serve` resolver entry point for `kernel:<name>` specs.
+/// the `pim-serve` resolver entry point for `kernel:<name>` specs. The
+/// result is the [`KernelMetrics::to_line`] line.
 ///
 /// # Errors
 ///
@@ -113,7 +131,8 @@ pub fn measure_kernel(
         .into_iter()
         .find(|(n, ..)| *n == name)
         .ok_or_else(|| DmpimError::UnknownExperiment { id: format!("kernel:{name}") })?;
-    measure(n, kind, factory, tracer, watchdog)
+    let [cpu, core, acc] = run_modes(factory, tracer, watchdog)?;
+    Ok(KernelMetrics::from_reports(n, kind, &cpu, &core, &acc).to_line())
 }
 
 /// Shared sink for per-attempt wall times. Timing lives *outside* the
@@ -156,7 +175,8 @@ pub fn shard_job_id(name: &str, mode: ExecutionMode) -> String {
     format!("{name}@{}", mode.label())
 }
 
-/// Measure one study mode of `kernel` and encode it as a shard line.
+/// Measure one study mode of `kernel` and encode its record as a sweep
+/// job payload.
 fn measure_mode(
     name: &str,
     kind: PimTargetKind,
@@ -167,7 +187,7 @@ fn measure_mode(
 ) -> Result<String, DmpimError> {
     let engine = OffloadEngine::new().with_tracer(tracer).with_watchdog(watchdog);
     let report = engine.try_run(kernel, mode)?;
-    Ok(ModeShard::from_report(name, kind, &report).to_line())
+    Ok(payload([ModeShard::from_report(name, kind, &report)]))
 }
 
 /// Three shard jobs (one per study mode) for a kernel whose clones share
@@ -220,42 +240,42 @@ fn metrics_jobs_timed(smoke: bool, timings: Option<JobTimings>) -> Vec<Job> {
     jobs
 }
 
-/// Fold sweep payload lines — plain [`KernelMetrics`] lines and per-mode
-/// [`ModeShard`] lines — into kernel metrics, in catalog (`order`)
-/// position. A sharded kernel contributes only when all three of its
-/// mode shards are present: a failed shard degrades to a missing kernel,
-/// exactly like a failed unsharded job. Keying by catalog order (not
-/// result order) makes the merge independent of worker scheduling.
+/// Read the per-mode records out of sweep job payloads, in catalog
+/// (`order`) × study-mode order, and name (`kernel@mode`) each catalog
+/// kernel × mode that has no readable record: its job failed, or its
+/// payload does not parse. Keying by catalog order (not result order)
+/// makes the merge independent of worker scheduling.
+pub fn merge_records<'a>(
+    order: &[&str],
+    payloads: impl IntoIterator<Item = &'a str>,
+) -> (Vec<ModeShard>, Vec<String>) {
+    let mut read = Vec::new();
+    for p in payloads {
+        if let Ok(JsonValue::Arr(items)) = JsonValue::parse(p) {
+            read.extend(items.iter().filter_map(ModeShard::from_json_value));
+        }
+    }
+    let (mut records, mut missing) = (Vec::new(), Vec::new());
+    for &name in order {
+        for mode in ExecutionMode::ALL {
+            match read.iter().position(|r| r.is(name, mode)) {
+                Some(i) => records.push(read.swap_remove(i)),
+                None => missing.push(shard_job_id(name, mode)),
+            }
+        }
+    }
+    (records, missing)
+}
+
+/// Fold sweep job payloads into kernel metrics, in catalog (`order`)
+/// position. A kernel contributes only when all three of its mode
+/// records are readable: a failed job degrades to a missing kernel,
+/// whether it ran one mode or three.
 pub fn merge_metric_lines<'a>(
     order: &[&str],
     lines: impl IntoIterator<Item = &'a str>,
 ) -> Vec<KernelMetrics> {
-    let mut plain: Vec<KernelMetrics> = Vec::new();
-    let mut shards: Vec<ModeShard> = Vec::new();
-    for line in lines {
-        if let Some(s) = ModeShard::parse(line) {
-            shards.push(s);
-        } else if let Some(m) = KernelMetrics::parse(line) {
-            plain.push(m);
-        }
-    }
-    order
-        .iter()
-        .filter_map(|&name| {
-            if let Some(m) = plain.iter().find(|m| m.name == name) {
-                return Some(m.clone());
-            }
-            let find = |mode| shards.iter().find(|s| s.name == name && s.mode == mode);
-            match (
-                find(ExecutionMode::CpuOnly),
-                find(ExecutionMode::PimCore),
-                find(ExecutionMode::PimAcc),
-            ) {
-                (Some(cpu), Some(core), Some(acc)) => Some(metrics_from_shards(cpu, core, acc)),
-                _ => None,
-            }
-        })
-        .collect()
+    metrics_from_records(&merge_records(order, lines).0)
 }
 
 /// Fold per-attempt timings into per-job `(id, total_ms, attempts)`
@@ -279,28 +299,51 @@ pub fn metrics_jobs(smoke: bool) -> Vec<Job> {
 }
 
 /// Compute the scorecard measurements in-process (no journal, current
-/// thread). Round-trips every measurement through its journal line so
-/// the values are bit-identical to a harness/resume run.
+/// thread), straight from the run reports: the reference a harness or
+/// resumed sweep's merged records must match bit for bit.
 pub(crate) fn collect_metrics(smoke: bool) -> Vec<KernelMetrics> {
     let tracer = Tracer::default();
     kernel_catalog(smoke)
         .into_iter()
         .filter_map(|(name, kind, factory)| {
-            measure(name, kind, factory, &tracer, Watchdog::unlimited()).ok()
+            let [cpu, core, acc] = run_modes(factory, &tracer, Watchdog::unlimited()).ok()?;
+            Some(KernelMetrics::from_reports(name, kind, &cpu, &core, &acc))
         })
-        .filter_map(|line| KernelMetrics::parse(&line))
         .collect()
 }
 
-/// Result of [`scorecard_sweep`]: the merged scorecard entries, the
-/// harness failure report, and per-job wall times in `(id, ms)` form.
-pub type SweepOutcome = (Vec<ScorecardEntry>, SweepReport, Vec<(String, u64)>);
+/// What [`scorecard_sweep`] produced.
+pub struct SweepOutcome {
+    /// Every readable per-mode record, in catalog × study-mode order.
+    pub records: Vec<ModeShard>,
+    /// Each catalog kernel × mode with no readable record, as
+    /// `kernel@mode` (see [`merge_records`]).
+    pub missing: Vec<String>,
+    /// The harness failure report.
+    pub report: SweepReport,
+    /// Per-attempt wall times in `(id, ms)` form.
+    pub timings: Vec<(String, u64)>,
+}
 
-/// Run the scorecard sweep through the harness: one job per kernel,
-/// optional journal/resume, merged back into scorecard entries plus the
-/// harness's failure report. Jobs whose measurement failed (panic,
-/// timeout, invalid config) are reported in the [`SweepReport`] and
-/// simply absent from the aggregation.
+impl SweepOutcome {
+    /// The scorecard entries the records fold into.
+    pub fn entries(&self) -> Vec<ScorecardEntry> {
+        entries_from_metrics(&metrics_from_records(&self.records))
+    }
+
+    /// The attribution records `repro --explain` renders, in catalog ×
+    /// study-mode order.
+    pub fn explain_records(&self) -> Vec<ExplainRecord> {
+        self.records.iter().map(|r| r.record.clone()).collect()
+    }
+}
+
+/// Run the sweep behind both `repro --json` and `repro --explain`
+/// through the harness: the [`metrics_jobs`], optional journal/resume,
+/// merged back into per-mode records plus the harness's failure report.
+/// Jobs whose measurement failed (panic, timeout, invalid config) are
+/// reported in the [`SweepReport`], and their records are
+/// [`SweepOutcome::missing`].
 pub fn scorecard_sweep(
     smoke: bool,
     policy: HarnessPolicy,
@@ -314,10 +357,10 @@ pub fn scorecard_sweep(
     let timings: JobTimings = Arc::new(Mutex::new(Vec::new()));
     let report = harness.run(metrics_jobs_timed(smoke, Some(timings.clone())))?;
     let order: Vec<&str> = kernel_catalog(smoke).into_iter().map(|(n, ..)| n).collect();
-    let metrics =
-        merge_metric_lines(&order, report.results.iter().filter_map(|r| r.output.as_deref()));
+    let (records, missing) =
+        merge_records(&order, report.results.iter().filter_map(|r| r.output.as_deref()));
     let timings = timings.lock().map(|v| v.clone()).unwrap_or_default();
-    Ok((entries_from_metrics(&metrics), report, timings))
+    Ok(SweepOutcome { records, missing, report, timings })
 }
 
 /// One job per experiment id, for the default `repro` run. Each job's
@@ -401,6 +444,7 @@ mod tests {
     use pim_harness::JobStatus;
 
     use super::*;
+    use crate::explain::{mode_slug, record_from_report};
 
     #[test]
     fn metrics_only_tracer_books_exactly_the_full_tracers_metrics() {
@@ -456,16 +500,19 @@ mod tests {
         let tracer = Tracer::default();
         let engine = OffloadEngine::new().with_tracer(&tracer);
         let mut k = MotionEstimationKernel::small();
-        let cpu = engine.try_run(&mut k, ExecutionMode::CpuOnly).unwrap();
-        let core = engine.try_run(&mut k, ExecutionMode::PimCore).unwrap();
-        let acc = engine.try_run(&mut k, ExecutionMode::PimAcc).unwrap();
+        let reports = ExecutionMode::ALL.map(|mode| engine.try_run(&mut k, mode).unwrap());
+        let [cpu, core, acc] = &reports;
         let want = KernelMetrics::from_reports(
             "motion estimation",
             pim_core::PimTargetKind::MotionEstimation,
-            &cpu,
-            &core,
-            &acc,
+            cpu,
+            core,
+            acc,
         );
+        let want_records: Vec<String> = reports
+            .iter()
+            .map(|r| record_from_report("motion estimation", r).to_json_value().render())
+            .collect();
 
         for workers in [1, 3] {
             let jobs = sharded_kernel_jobs(
@@ -477,10 +524,13 @@ mod tests {
             let policy = HarnessPolicy { workers, ..Default::default() };
             let report = Harness::new(policy).run(jobs).unwrap();
             assert!(report.all_ok(), "{:?}", report.summary());
-            let merged = merge_metric_lines(
-                &["motion estimation"],
-                report.results.iter().filter_map(|r| r.output.as_deref()),
-            );
+            let payloads = || report.results.iter().filter_map(|r| r.output.as_deref());
+            let (records, missing) = merge_records(&["motion estimation"], payloads());
+            assert!(missing.is_empty(), "workers={workers}: {missing:?}");
+            let got: Vec<String> =
+                records.iter().map(|r| r.record.to_json_value().render()).collect();
+            assert_eq!(got, want_records, "workers={workers}");
+            let merged = merge_metric_lines(&["motion estimation"], payloads());
             assert_eq!(merged.len(), 1, "workers={workers}");
             let m = &merged[0];
             assert_eq!(m.name, want.name);
@@ -493,33 +543,35 @@ mod tests {
 
     #[test]
     fn merge_requires_all_three_shards_and_keeps_catalog_order() {
-        let shard = |name: &str, mode: ExecutionMode| {
-            ModeShard {
-                name: name.to_string(),
-                kind: pim_core::PimTargetKind::MotionEstimation,
-                mode,
-                total_pj: 100.0,
+        let record = |name: &str, mode: ExecutionMode| ModeShard {
+            kind: pim_core::PimTargetKind::MotionEstimation,
+            total_pj: 100.0,
+            dm: 0.5,
+            record: ExplainRecord {
+                kernel: name.to_string(),
+                mode: mode_slug(mode).to_string(),
                 runtime_ps: 10,
-                dm: 0.5,
-            }
-            .to_line()
+                cycle_ps: [1.0; 6],
+                energy_pj: [1.0; 6],
+                row_hit_rate: 0.5,
+                mpki: 1.0,
+                bytes_moved: 64,
+            },
         };
-        // Two of three shards: the kernel is absent, like a failed job.
+        let shard = |name, mode| payload([record(name, mode)]);
+        // Two of three modes: the kernel is absent, like a failed job,
+        // and the missing mode is named.
         let partial = [shard("me", ExecutionMode::CpuOnly), shard("me", ExecutionMode::PimAcc)];
         assert!(merge_metric_lines(&["me"], partial.iter().map(String::as_str)).is_empty());
-        // Full set plus a plain line, delivered out of catalog order: the
-        // output follows the catalog, not the result stream.
-        let plain = KernelMetrics {
-            name: "tiling".to_string(),
-            kind: pim_core::PimTargetKind::TextureTiling,
-            dm: 0.8,
-            core_cut: 0.5,
-            acc_cut: 0.6,
-            acc_speed: 1.4,
-        };
+        let (_, missing) = merge_records(&["me"], partial.iter().map(String::as_str));
+        assert_eq!(missing, ["me@PIM-Core"]);
+        // Shards plus a whole kernel's payload and an unreadable one,
+        // delivered out of catalog order: the output follows the catalog,
+        // not the result stream.
         let lines = [
             shard("me", ExecutionMode::PimAcc),
-            plain.to_line(),
+            payload(ExecutionMode::ALL.map(|mode| record("tiling", mode))),
+            "tiling|texture tiling|0.8|0.5|0.6|1.4".to_string(),
             shard("me", ExecutionMode::CpuOnly),
             shard("me", ExecutionMode::PimCore),
         ];
@@ -528,13 +580,28 @@ mod tests {
         assert_eq!(merged[0].name, "tiling");
         assert_eq!(merged[1].name, "me");
         assert_eq!(merged[1].acc_speed, 1.0);
+        let (records, missing) = merge_records(&["tiling", "me"], lines.iter().map(String::as_str));
+        assert!(missing.is_empty(), "{missing:?}");
+        let order: Vec<(&str, &str)> =
+            records.iter().map(|r| (r.record.kernel.as_str(), r.record.mode.as_str())).collect();
+        assert_eq!(
+            order,
+            [
+                ("tiling", "cpu-only"),
+                ("tiling", "pim-core"),
+                ("tiling", "pim-acc"),
+                ("me", "cpu-only"),
+                ("me", "pim-core"),
+                ("me", "pim-acc"),
+            ]
+        );
     }
 
     #[test]
     fn metric_lines_round_trip() {
         let tracer = Tracer::default();
-        for (name, kind, factory) in kernel_catalog(true) {
-            let line = measure(name, kind, factory, &tracer, Watchdog::unlimited()).unwrap();
+        for (name, kind, _) in kernel_catalog(true) {
+            let line = measure_kernel(name, true, &tracer, Watchdog::unlimited()).unwrap();
             let m = KernelMetrics::parse(&line).expect("line parses");
             assert_eq!(m.name, name);
             assert_eq!(m.kind, kind);
@@ -544,11 +611,13 @@ mod tests {
 
     #[test]
     fn harness_sweep_matches_in_process_scorecard() {
-        let (entries, report, timings) =
+        let out =
             scorecard_sweep(true, HarnessPolicy { workers: 2, ..Default::default() }, None, false)
                 .unwrap();
-        assert!(report.all_ok(), "{:?}", report.summary());
-        assert_eq!(timings.len(), kernel_catalog(true).len(), "one timing per fresh job");
+        assert!(out.report.all_ok(), "{:?}", out.report.summary());
+        assert!(out.missing.is_empty(), "{:?}", out.missing);
+        assert_eq!(out.timings.len(), kernel_catalog(true).len(), "one timing per fresh job");
+        let entries = out.entries();
         let direct = crate::scorecard::scorecard(true);
         assert_eq!(entries.len(), direct.len());
         for (a, b) in entries.iter().zip(&direct) {
@@ -556,6 +625,61 @@ mod tests {
             assert_eq!(a.quantity, b.quantity);
             assert_eq!(a.measured.to_bits(), b.measured.to_bits(), "{}/{}", a.id, a.quantity);
         }
+    }
+
+    /// A fresh journal path under the system temp dir.
+    fn journal_path(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("pim-bench-{name}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir.join("sweep.jsonl")
+    }
+
+    #[test]
+    fn resumed_sweep_gives_the_same_entries_and_attribution() {
+        let path = journal_path("resume");
+        let whole = scorecard_sweep(true, HarnessPolicy::default(), Some(&path), false).unwrap();
+        assert!(whole.report.all_ok() && whole.missing.is_empty(), "{:?}", whole.missing);
+        // Keep the header and the first record, as a kill after the first
+        // job would.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let cut: String = text.lines().take(2).map(|l| format!("{l}\n")).collect();
+        std::fs::write(&path, cut).unwrap();
+        let resumed = scorecard_sweep(true, HarnessPolicy::default(), Some(&path), true).unwrap();
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+        assert_eq!(resumed.report.resumed, 1);
+        assert!(resumed.report.all_ok() && resumed.missing.is_empty(), "{:?}", resumed.missing);
+        let bits = |out: &SweepOutcome| -> Vec<(&str, &str, u64)> {
+            out.entries().iter().map(|e| (e.id, e.quantity, e.measured.to_bits())).collect()
+        };
+        assert_eq!(bits(&resumed), bits(&whole));
+        let rendered = |out: &SweepOutcome| -> Vec<String> {
+            out.explain_records().iter().map(|r| r.to_json_value().render()).collect()
+        };
+        assert_eq!(rendered(&resumed), rendered(&whole));
+        assert_eq!(rendered(&whole).len(), 3 * kernel_catalog(true).len());
+    }
+
+    #[test]
+    fn resumed_sweep_with_an_unreadable_record_fails_its_gate_naming_it() {
+        let path = journal_path("unreadable");
+        scorecard_sweep(true, HarnessPolicy::default(), Some(&path), false).unwrap();
+        // Edit the kind label of the first texture-tiling record (its
+        // CPU-Only run) to one no record reads back.
+        let text = std::fs::read_to_string(&path).unwrap();
+        let edited =
+            text.replacen(r#"\"kind\":\"texture tiling\""#, r#"\"kind\":\"texture-tiling\""#, 1);
+        assert_ne!(edited, text, "the journal holds the texture-tiling records");
+        std::fs::write(&path, edited).unwrap();
+        let out = scorecard_sweep(true, HarnessPolicy::default(), Some(&path), true).unwrap();
+        let _ = std::fs::remove_dir_all(path.parent().unwrap());
+        assert_eq!(out.report.resumed, kernel_catalog(true).len(), "both jobs restored");
+        assert_eq!(out.missing, ["texture tiling@CPU-Only"]);
+        let summary = out.report.summary();
+        assert!(summary.all_ok(), "the harness itself saw no failure");
+        let failures =
+            crate::scorecard::gate_failures(&out.entries(), &out.missing, Some(&summary));
+        assert_eq!(failures, ["sweep: no readable record for texture tiling@CPU-Only"]);
     }
 
     #[test]

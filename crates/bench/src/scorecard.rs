@@ -7,16 +7,25 @@
 //! reproduction's state without scraping markdown.
 //!
 //! Measurement and aggregation are split so the harness can parallelize
-//! the former: each kernel's sweep produces a [`KernelMetrics`] encoded
-//! as a journal-safe line, and [`entries_from_metrics`] folds any set of
-//! lines into scorecard entries. `f64`s use Rust's shortest round-trip
-//! `Display`, so a scorecard rebuilt from journaled lines is
+//! the former: each sweep job's payload holds one [`ModeShard`] record
+//! per study mode it ran, [`metrics_from_shards`] folds a kernel's three
+//! records into its [`KernelMetrics`], and [`entries_from_metrics`] folds
+//! those into scorecard entries. `f64`s travel as Rust's shortest
+//! round-trip decimals, so a scorecard rebuilt from journaled payloads is
 //! bit-identical to one computed in-process.
 
 use pim_core::area::AreaModel;
 use pim_core::report::mean;
 use pim_core::{ExecutionMode, JsonValue, PimTargetKind, RunReport};
 use pim_harness::{FailureSummary, SweepReport};
+use pim_obs::ExplainRecord;
+
+use crate::explain::{mode_slug, record_from_report};
+
+/// The paper's mean PIM-Acc speedup over CPU-only, the one figure the
+/// scorecard row, `BENCH_explain.json`'s `headline_gap` and the
+/// `--explain` prose all compare against.
+pub const PAPER_ACC_SPEEDUP: f64 = 1.54;
 
 /// One paper-vs-measured comparison.
 #[derive(Debug, Clone)]
@@ -122,95 +131,102 @@ impl KernelMetrics {
     }
 }
 
-/// One study-mode measurement of a sharded kernel sweep, in a form that
-/// survives a journal round-trip.
+/// One kernel × study-mode run, as a sweep job's payload carries it: the
+/// run's attribution record plus the values the scorecard folds.
 ///
-/// [`KernelMetrics::from_reports`] only reads each report's total energy,
-/// runtime and (for the CPU baseline) data-movement fraction, so a shard
-/// carries exactly those three values. Floats use shortest round-trip
-/// formatting; [`metrics_from_shards`] then applies the same arithmetic
-/// to the same bit patterns, making a sharded sweep's merged metrics
-/// bit-identical to an unsharded one's.
+/// Its JSON form is the [`ExplainRecord`] object that `BENCH_explain.json`
+/// archives, plus `kind`, `total_pj` and `dm`, so a record has one shape
+/// in the payload, the journal and the archive. A job's payload is a JSON
+/// array of these, one per mode it ran: three for a whole kernel, one for
+/// a mode shard.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ModeShard {
-    /// Kernel display name (catalog key).
-    pub name: String,
     /// Which paper target the kernel belongs to.
     pub kind: PimTargetKind,
-    /// The study mode this shard measured.
-    pub mode: ExecutionMode,
-    /// The run's total energy, `RunReport::energy.total_pj()`.
+    /// The run's total energy, `RunReport::energy.total_pj()`. The
+    /// record's energy lanes sum the same meters in another order, so
+    /// the exact total travels on its own.
     pub total_pj: f64,
-    /// The run's end-to-end runtime in ps.
-    pub runtime_ps: u64,
     /// The run's data-movement energy fraction (used from the CPU-Only
-    /// shard; carried on all three for symmetry).
+    /// record; carried on all three for symmetry).
     pub dm: f64,
+    /// The run's attribution: kernel name, mode slug, runtime and the
+    /// six-component cycle and energy breakdowns.
+    pub record: ExplainRecord,
 }
 
 impl ModeShard {
-    /// Capture the merge-relevant values of one study-mode report.
+    /// Capture one study-mode report.
     pub fn from_report(name: &str, kind: PimTargetKind, report: &RunReport) -> Self {
         Self {
-            name: name.to_string(),
             kind,
-            mode: report.mode,
             total_pj: report.energy.total_pj(),
-            runtime_ps: report.runtime_ps,
             dm: report.energy.data_movement_fraction(),
+            record: record_from_report(name, report),
         }
     }
 
-    /// Encode as `shard|name|kind|mode|total_pj|runtime_ps|dm`. The
-    /// `shard|` prefix keeps shard lines from parsing as
-    /// [`KernelMetrics`] lines and vice versa ("shard" is not a kind
-    /// label, and a kernel name is not one either).
-    pub fn to_line(&self) -> String {
-        format!(
-            "shard|{}|{}|{}|{}|{}|{}",
-            self.name,
-            self.kind.label(),
-            self.mode.label(),
-            self.total_pj,
-            self.runtime_ps,
-            self.dm
-        )
+    /// Whether this is the record of kernel `name` run in `mode`.
+    pub fn is(&self, name: &str, mode: ExecutionMode) -> bool {
+        self.record.kernel == name && self.record.mode == mode_slug(mode)
     }
 
-    /// Inverse of [`ModeShard::to_line`]; `None` on any malformed field.
-    pub fn parse(line: &str) -> Option<Self> {
-        let rest = line.strip_prefix("shard|")?;
-        let mut parts = rest.split('|');
-        let name = parts.next()?.to_string();
-        let kind_label = parts.next()?;
-        let kind = PimTargetKind::ALL.into_iter().find(|k| k.label() == kind_label)?;
-        let mode_label = parts.next()?;
-        let mode = ExecutionMode::ALL.into_iter().find(|m| m.label() == mode_label)?;
-        let total_pj = parts.next()?.parse().ok()?;
-        let runtime_ps = parts.next()?.parse().ok()?;
-        let dm = parts.next()?.parse().ok()?;
-        if parts.next().is_some() {
-            return None;
-        }
-        Some(Self { name, kind, mode, total_pj, runtime_ps, dm })
+    /// The record's JSON object: [`ExplainRecord::to_json_value`] plus
+    /// `kind`, `total_pj` and `dm`.
+    pub fn to_json_value(&self) -> JsonValue {
+        self.record
+            .to_json_value()
+            .set("kind", self.kind.label())
+            .set("total_pj", self.total_pj)
+            .set("dm", self.dm)
+    }
+
+    /// Inverse of [`ModeShard::to_json_value`], with the exact `f64`
+    /// bits; `None` on a missing or mistyped field or an unknown kind.
+    pub fn from_json_value(v: &JsonValue) -> Option<Self> {
+        let kind = v.get("kind")?.as_str()?;
+        Some(Self {
+            kind: PimTargetKind::ALL.into_iter().find(|k| k.label() == kind)?,
+            total_pj: v.get("total_pj")?.as_f64()?,
+            dm: v.get("dm")?.as_f64()?,
+            record: ExplainRecord::from_json_value(v)?,
+        })
     }
 }
 
-/// Merge the three study-mode shards of one kernel into its metrics.
+/// Merge the three study-mode records of one kernel into its metrics.
 ///
 /// Performs bit-for-bit the arithmetic of [`KernelMetrics::from_reports`]
-/// on the values the shards transported, so the result is bit-identical
+/// on the values the records transported, so the result is bit-identical
 /// to measuring all three modes in one job — the property that keeps a
 /// sharded scorecard byte-identical at any worker count.
 pub fn metrics_from_shards(cpu: &ModeShard, core: &ModeShard, acc: &ModeShard) -> KernelMetrics {
     KernelMetrics {
-        name: cpu.name.clone(),
+        name: cpu.record.kernel.clone(),
         kind: cpu.kind,
         dm: cpu.dm,
         core_cut: 1.0 - core.total_pj / cpu.total_pj,
         acc_cut: 1.0 - acc.total_pj / cpu.total_pj,
-        acc_speed: cpu.runtime_ps as f64 / acc.runtime_ps as f64,
+        acc_speed: cpu.record.runtime_ps as f64 / acc.record.runtime_ps as f64,
     }
+}
+
+/// Fold per-mode records into kernel metrics, one per kernel whose three
+/// study modes are all present, in the order of its CPU-Only records.
+pub fn metrics_from_records(records: &[ModeShard]) -> Vec<KernelMetrics> {
+    let find = |name: &str, mode| records.iter().find(|r| r.is(name, mode));
+    records
+        .iter()
+        .filter(|r| r.record.mode == mode_slug(ExecutionMode::CpuOnly))
+        .filter_map(|cpu| {
+            let name = cpu.record.kernel.as_str();
+            Some(metrics_from_shards(
+                cpu,
+                find(name, ExecutionMode::PimCore)?,
+                find(name, ExecutionMode::PimAcc)?,
+            ))
+        })
+        .collect()
 }
 
 /// Fold per-kernel measurements into the paper-vs-measured entries.
@@ -249,7 +265,7 @@ pub fn entries_from_metrics(metrics: &[KernelMetrics]) -> Vec<ScorecardEntry> {
         entry("headline", "avg CPU-only data-movement energy share", 0.627, mean(&dm)),
         entry("headline", "avg PIM-Core energy reduction", 0.491, mean(&core_cut)),
         entry("headline", "avg PIM-Acc energy reduction", 0.554, mean(&acc_cut)),
-        entry("headline", "avg PIM-Acc speedup", 1.54, mean(&acc_speed)),
+        entry("headline", "avg PIM-Acc speedup", PAPER_ACC_SPEEDUP, mean(&acc_speed)),
         entry(
             "area",
             "PIM core fraction of per-vault area budget",
@@ -291,10 +307,15 @@ pub fn scorecard(smoke: bool) -> Vec<ScorecardEntry> {
 /// accelerators outperform the paper's average (see EXPERIMENTS.md).
 pub const WAIVED_DIVERGENCES: [(&str, &str); 1] = [("headline", "avg PIM-Acc speedup")];
 
-/// The reasons a `repro --json` run should exit non-zero: non-waived
-/// divergent verdicts, plus any quarantined or failed sweep jobs.
+/// The reasons a `repro --json` or `repro --explain` run should exit
+/// non-zero: non-waived divergent verdicts, every catalog kernel × mode
+/// (`missing`, named `kernel@mode`) the sweep has no readable record
+/// for, plus any quarantined or failed sweep jobs. A missing record is a
+/// failure on its own: a payload that no longer parses (an edited or
+/// outdated journal) would otherwise drop a kernel from every mean.
 pub fn gate_failures(
     entries: &[ScorecardEntry],
+    missing: &[String],
     harness: Option<&FailureSummary>,
 ) -> Vec<String> {
     let mut out = Vec::new();
@@ -307,6 +328,9 @@ pub fn gate_failures(
                 e.id, e.quantity, e.paper, e.measured
             ));
         }
+    }
+    for m in missing {
+        out.push(format!("sweep: no readable record for {m}"));
     }
     if let Some(s) = harness {
         if s.quarantined > 0 {
@@ -440,45 +464,58 @@ mod tests {
     }
 
     #[test]
-    fn shard_lines_round_trip_and_do_not_collide_with_metric_lines() {
-        let s = ModeShard {
-            name: "motion estimation".to_string(),
-            kind: PimTargetKind::MotionEstimation,
-            mode: ExecutionMode::PimAcc,
-            total_pj: 0.1 + 0.2,
+    fn mode_record_json_round_trips_exact_bits() {
+        let record = ExplainRecord {
+            kernel: "motion estimation".to_string(),
+            mode: "pim-acc".to_string(),
             runtime_ps: 123_456_789,
-            dm: 1.0 / 3.0,
+            cycle_ps: [0.1 + 0.2, f64::MIN_POSITIVE, 1e20, 0.0, 1.0 / 3.0, 7.5],
+            energy_pj: [1e20, 0.1 + 0.2, 0.0, f64::MIN_POSITIVE, 2.0 / 3.0, 1e-300],
+            row_hit_rate: 0.1 + 0.2,
+            mpki: 1e20,
+            bytes_moved: u64::MAX,
         };
-        let back = ModeShard::parse(&s.to_line()).unwrap();
+        let s = ModeShard {
+            kind: PimTargetKind::MotionEstimation,
+            total_pj: 0.1 + 0.2, // deliberately non-representable
+            dm: f64::MIN_POSITIVE,
+            record,
+        };
+        let text = s.to_json_value().render();
+        // The writer prints an integral float without an exponent.
+        assert!(text.contains(":100000000000000000000,"), "{text}");
+        let back = ModeShard::from_json_value(&JsonValue::parse(&text).unwrap()).unwrap();
         assert_eq!(back, s);
-        assert_eq!(back.total_pj.to_bits(), s.total_pj.to_bits());
-        // A shard line must not parse as a plain metrics line, and vice
-        // versa — the sweep mixes both in one result stream.
-        assert!(KernelMetrics::parse(&s.to_line()).is_none());
-        let m = KernelMetrics {
-            name: "texture tiling".to_string(),
-            kind: PimTargetKind::TextureTiling,
-            dm: 0.5,
-            core_cut: 0.4,
-            acc_cut: 0.3,
-            acc_speed: 1.5,
+        let bits = |m: &ModeShard| {
+            let r = &m.record;
+            let mut v = vec![m.total_pj, m.dm, r.row_hit_rate, r.mpki];
+            v.extend(r.cycle_ps.iter().chain(&r.energy_pj));
+            v.into_iter().map(f64::to_bits).collect::<Vec<_>>()
         };
-        assert!(ModeShard::parse(&m.to_line()).is_none());
-        assert!(ModeShard::parse("shard|n|no-such-kind|CPU-Only|1|2|3").is_none());
-        assert!(ModeShard::parse("shard|n|texture tiling|no-such-mode|1|2|3").is_none());
+        assert_eq!(bits(&back), bits(&s));
+        assert_eq!(back.to_json_value().render(), text);
+        // An unknown kind, or a missing raw field, reads as no record.
+        let edited =
+            text.replace("\"kind\":\"motion estimation\"", "\"kind\":\"motion-estimation\"");
+        assert!(ModeShard::from_json_value(&JsonValue::parse(&edited).unwrap()).is_none());
+        let no_cycles = text.replace("\"cycle_ps\"", "\"cycles\"");
+        assert!(ModeShard::from_json_value(&JsonValue::parse(&no_cycles).unwrap()).is_none());
     }
 
     #[test]
     fn gate_waives_documented_divergences_only() {
-        let waived = entry("headline", "avg PIM-Acc speedup", 1.54, 2.94);
+        let waived = entry("headline", "avg PIM-Acc speedup", PAPER_ACC_SPEEDUP, 2.94);
         assert_eq!(waived.verdict, "divergent");
-        assert!(gate_failures(&[waived], None).is_empty());
+        assert!(gate_failures(&[waived], &[], None).is_empty());
 
         let real = entry("fig2", "texture-tiling data-movement energy share", 0.815, 0.1);
         assert_eq!(real.verdict, "divergent");
-        let failures = gate_failures(&[real], None);
+        let failures = gate_failures(&[real], &[], None);
         assert_eq!(failures.len(), 1);
         assert!(failures[0].contains("fig2"));
+        let missing = ["texture tiling@CPU-Only".to_string()];
+        let failures = gate_failures(&[], &missing, None);
+        assert_eq!(failures, ["sweep: no readable record for texture tiling@CPU-Only"]);
     }
 
     #[test]
@@ -486,7 +523,7 @@ mod tests {
         let mut summary = FailureSummary { total: 3, succeeded: 1, ..Default::default() };
         summary.quarantined = 1;
         summary.failed = 1;
-        let failures = gate_failures(&[], Some(&summary));
+        let failures = gate_failures(&[], &[], Some(&summary));
         assert_eq!(failures.len(), 2);
         assert!(failures.iter().any(|f| f.contains("quarantined")));
         assert!(failures.iter().any(|f| f.contains("failed")));

@@ -4,10 +4,10 @@
 //! An [`ExplainRecord`] is one experiment × platform cell of the
 //! attribution matrix: total runtime decomposed across six cost
 //! components, the matching energy decomposition, and the memory-system
-//! health indicators (row-hit rate, MPKI, bytes moved). Records carry a
-//! pipe-separated line format so the sweep harness can ship them through
-//! its stdout payload channel the same way scorecard lines travel, and a
-//! JSON form for `BENCH_explain.json`.
+//! health indicators (row-hit rate, MPKI, bytes moved). A record has one
+//! JSON form ([`ExplainRecord::to_json_value`] and its inverse
+//! [`ExplainRecord::from_json_value`]): the object the sweep's job
+//! payloads carry and `BENCH_explain.json` archives.
 //!
 //! [`attribute_gap`] answers the headline question — *which component
 //! explains the difference between two runtimes* — by differencing the
@@ -55,22 +55,6 @@ fn shares_of(values: &[f64; 6]) -> [f64; 6] {
     out
 }
 
-fn join6(values: &[f64; 6]) -> String {
-    values.iter().map(|v| format!("{v}")).collect::<Vec<_>>().join(",")
-}
-
-fn parse6(field: &str) -> Option<[f64; 6]> {
-    let mut out = [0.0; 6];
-    let mut parts = field.split(',');
-    for slot in &mut out {
-        *slot = parts.next()?.parse().ok()?;
-    }
-    if parts.next().is_some() {
-        return None;
-    }
-    Some(out)
-}
-
 impl ExplainRecord {
     /// Cycle decomposition normalized to shares summing to 1.0 (all
     /// zeros when the record is empty).
@@ -86,46 +70,6 @@ impl ExplainRecord {
     /// Total attributed cycle time in ps.
     pub fn cycle_total_ps(&self) -> f64 {
         self.cycle_ps.iter().sum()
-    }
-
-    /// Serialize to the pipe-separated payload line. Fields never
-    /// contain `|` (kernel/mode ids are identifiers), and floats use
-    /// Rust's shortest round-trip formatting, so
-    /// `parse_line(to_line(r)) == r` exactly.
-    pub fn to_line(&self) -> String {
-        format!(
-            "{}|{}|{}|{}|{}|{}|{}|{}",
-            self.kernel,
-            self.mode,
-            self.runtime_ps,
-            join6(&self.cycle_ps),
-            join6(&self.energy_pj),
-            self.row_hit_rate,
-            self.mpki,
-            self.bytes_moved
-        )
-    }
-
-    /// Parse a [`ExplainRecord::to_line`] payload; `None` on any shape
-    /// or number error.
-    pub fn parse_line(line: &str) -> Option<Self> {
-        let parts: Vec<&str> = line.split('|').collect();
-        if parts.len() != 8 {
-            return None;
-        }
-        if parts[0].is_empty() || parts[1].is_empty() {
-            return None;
-        }
-        Some(Self {
-            kernel: parts[0].to_string(),
-            mode: parts[1].to_string(),
-            runtime_ps: parts[2].parse().ok()?,
-            cycle_ps: parse6(parts[3])?,
-            energy_pj: parse6(parts[4])?,
-            row_hit_rate: parts[5].parse().ok()?,
-            mpki: parts[6].parse().ok()?,
-            bytes_moved: parts[7].parse().ok()?,
-        })
     }
 
     /// JSON object for `BENCH_explain.json`: raw decompositions plus
@@ -149,6 +93,36 @@ impl ExplainRecord {
             .set("row_hit_rate", self.row_hit_rate)
             .set("mpki", self.mpki)
             .set("bytes_moved", self.bytes_moved)
+    }
+
+    /// Inverse of [`ExplainRecord::to_json_value`]. Reads the raw
+    /// fields and ignores the derived ones (`total`, the share objects)
+    /// and any field it does not know, so a record that carries more
+    /// fields reads too. Finite floats come back with their exact bits:
+    /// the writer prints shortest round-trip decimals (only `-0.0`,
+    /// printed `-0`, reads back as `0.0`). `None` on a missing or
+    /// mistyped field, which includes a non-finite float the writer
+    /// printed as `null`.
+    pub fn from_json_value(v: &JsonValue) -> Option<Self> {
+        let text = |key: &str| Some(v.get(key)?.as_str()?.to_string());
+        let labelled = |key: &str| -> Option<[f64; 6]> {
+            let o = v.get(key)?;
+            let mut out = [0.0; 6];
+            for (slot, label) in out.iter_mut().zip(COMPONENT_LABELS) {
+                *slot = o.get(label)?.as_f64()?;
+            }
+            Some(out)
+        };
+        Some(Self {
+            kernel: text("kernel")?,
+            mode: text("mode")?,
+            runtime_ps: v.get("runtime_ps")?.as_u64()?,
+            cycle_ps: labelled("cycle_ps")?,
+            energy_pj: labelled("energy_pj")?,
+            row_hit_rate: v.get("row_hit_rate")?.as_f64()?,
+            mpki: v.get("mpki")?.as_f64()?,
+            bytes_moved: v.get("bytes_moved")?.as_u64()?,
+        })
     }
 }
 
@@ -261,28 +235,12 @@ mod tests {
     }
 
     #[test]
-    fn shares_sum_to_one_and_line_round_trips() {
+    fn shares_sum_to_one() {
         let r = record("texture_tiling", "cpu-only", [10.0, 20.5, 0.25, 30.0, 40.0, 0.0]);
         let cycle: f64 = r.cycle_shares().iter().sum();
         let energy: f64 = r.energy_shares().iter().sum();
         assert!((cycle - 1.0).abs() < 1e-9);
         assert!((energy - 1.0).abs() < 1e-9);
-        let parsed = ExplainRecord::parse_line(&r.to_line()).expect("round trip");
-        assert_eq!(parsed, r);
-    }
-
-    #[test]
-    fn parse_rejects_malformed_lines() {
-        assert!(ExplainRecord::parse_line("").is_none());
-        assert!(ExplainRecord::parse_line("a|b|c").is_none());
-        let r = record("k", "m", [1.0; 6]);
-        let mut line = r.to_line();
-        line.push_str("|extra");
-        assert!(ExplainRecord::parse_line(&line).is_none());
-        let five = "k|m|6|1,1,1,1,1|1,1,1,1,1,1|0.5|1|2";
-        assert!(ExplainRecord::parse_line(five).is_none());
-        let nan_kernel = "|m|6|1,1,1,1,1,1|1,1,1,1,1,1|0.5|1|2";
-        assert!(ExplainRecord::parse_line(nan_kernel).is_none());
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! # pim-obs — cross-layer observability for the PIM simulator
 //!
-//! Three answers to "where did the time go?", at three different layers:
+//! Two views of a run, for two different readers:
 //!
 //! - [`explain`]: **simulated** time and energy, attributed across the
 //!   six cost components (`compute / cache / coherence / dram-queue /
@@ -8,23 +8,17 @@
 //!   Powers `repro --explain` and `BENCH_explain.json`, including the
 //!   [`explain::attribute_gap`] analysis that localizes the divergent
 //!   PIM-Acc headline speedup to specific component deltas.
-//! - [`profiler`]: **host wall-clock** time, attributed across
-//!   experiment × phase × subsystem with hand-rolled scoped timers.
-//!   Powers `repro --profile`; the disabled profiler costs a single
-//!   branch (asserted <5% overhead by the `profiler_overhead` bench).
 //! - [`prometheus`]: text exposition of a [`pim_trace::MetricsReport`]
 //!   for scrape-based monitoring of `pim-serve` (`/metrics?format=prometheus`).
 //!
 //! Like the rest of the workspace, this crate is std-only.
 
 pub mod explain;
-pub mod profiler;
 pub mod prometheus;
 
 pub use explain::{
     attribute_gap, render_explain_table, ExplainRecord, GapAttribution, COMPONENT_LABELS,
 };
-pub use profiler::{LocalProfiler, PhaseStat, ProfileScope, Profiler};
 pub use prometheus::{
     render_prometheus, sanitize_metric_name, validate_prometheus, PROMETHEUS_CONTENT_TYPE,
 };

@@ -2,23 +2,27 @@
 //! through the public `pim-bench`/`pim-obs` API.
 //!
 //! Two properties gate the feature: every record's component shares are
-//! a true partition of its cost (sum to 1 within 1e-9), and the sweep is
-//! bit-identical however many harness workers produce it — attribution
-//! must never depend on scheduling.
+//! a true partition of its cost (sum to 1 within 1e-9), and the records
+//! the scorecard sweep carries are bit-identical however many harness
+//! workers produce them — attribution must never depend on scheduling.
 
-use pim_bench::explain::{explain_sweep, headline_gap};
+use pim_bench::explain::headline_gap;
+use pim_bench::jobs::scorecard_sweep;
 use pim_harness::HarnessPolicy;
-use pim_obs::{Profiler, COMPONENT_LABELS};
+use pim_obs::{ExplainRecord, COMPONENT_LABELS};
 
-fn policy(workers: usize) -> HarnessPolicy {
-    HarnessPolicy { workers, ..HarnessPolicy::default() }
+/// The smoke sweep's attribution records at `workers` workers.
+fn records(workers: usize) -> Vec<ExplainRecord> {
+    let policy = HarnessPolicy { workers, ..HarnessPolicy::default() };
+    let out = scorecard_sweep(true, policy, None, false).unwrap();
+    assert!(out.report.summary().all_ok(), "{:?}", out.report);
+    assert!(out.missing.is_empty(), "{:?}", out.missing);
+    out.explain_records()
 }
 
 #[test]
 fn shares_partition_the_cost_for_every_kernel_and_mode() {
-    let profiler = Profiler::disabled();
-    let (records, report) = explain_sweep(true, policy(2), &profiler).unwrap();
-    assert!(report.summary().all_ok(), "{report:?}");
+    let records = records(2);
     assert!(!records.is_empty());
     for r in &records {
         let cs: f64 = r.cycle_shares().iter().sum();
@@ -49,19 +53,17 @@ fn shares_partition_the_cost_for_every_kernel_and_mode() {
 
 #[test]
 fn attribution_is_bit_identical_across_worker_counts() {
-    let profiler = Profiler::disabled();
-    let (serial, _) = explain_sweep(true, policy(1), &profiler).unwrap();
-    let (parallel, _) = explain_sweep(true, policy(4), &profiler).unwrap();
-    let s: Vec<String> = serial.iter().map(|r| r.to_line()).collect();
-    let p: Vec<String> = parallel.iter().map(|r| r.to_line()).collect();
+    let render = |records: Vec<ExplainRecord>| -> Vec<String> {
+        records.iter().map(|r| r.to_json_value().render()).collect()
+    };
+    let s = render(records(1));
+    let p = render(records(4));
     assert_eq!(s, p, "explain records must not depend on worker scheduling");
 }
 
 #[test]
 fn headline_gap_is_internally_consistent() {
-    let profiler = Profiler::disabled();
-    let (records, _) = explain_sweep(true, policy(2), &profiler).unwrap();
-    let h = headline_gap(&records).expect("smoke catalog has cpu/acc pairs");
+    let h = headline_gap(&records(2)).expect("smoke catalog has cpu/acc pairs");
     assert!(h.measured_speedup > 1.0, "PIM-Acc should beat CPU-only");
     // Component deltas sum to the total saved time, and their shares
     // partition it.
