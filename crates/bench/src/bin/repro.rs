@@ -4,11 +4,11 @@
 //! cargo run -p pim-bench --release --bin repro                 # everything
 //! cargo run -p pim-bench --release --bin repro -- --experiment fig18
 //! cargo run -p pim-bench --release --bin repro -- --list
-//! cargo run -p pim-bench --release --bin repro -- --json       # scorecard JSON + BENCH_repro.json
+//! cargo run -p pim-bench --release --bin repro -- --json       # scorecard JSON + both archives
 //! cargo run -p pim-bench --release --bin repro -- --json --jobs 4 --journal sweep.jsonl
 //! cargo run -p pim-bench --release --bin repro -- --json --jobs 4 --resume sweep.jsonl
 //! cargo run -p pim-bench --release --bin repro -- --trace trace.json --metrics metrics.json
-//! cargo run -p pim-bench --release --bin repro -- --explain          # attribution + BENCH_explain.json
+//! cargo run -p pim-bench --release --bin repro -- --explain          # attribution + both archives
 //! cargo run -p pim-bench --release --bin repro -- --perf-gate        # history vs BENCH_baseline.json
 //! cargo run -p pim-bench --release --bin repro -- --selftest-harness
 //! ```
@@ -20,24 +20,25 @@
 //! stable storage), and `--resume` re-runs only the jobs a killed sweep
 //! left unfinished. `--trace` writes a Chrome trace-event file (open in
 //! Perfetto or `chrome://tracing`); `--metrics` writes the flat metrics
-//! dump from the same traced sweep. `--json` prints the paper-vs-measured
-//! scorecard plus the harness failure report as JSON, archives both
-//! (with wall-clock timing) to `BENCH_repro.json`, and exits non-zero on
-//! any non-waived divergent verdict or any quarantined/failed job.
+//! dump from the same traced sweep.
+//!
+//! `--json` and `--explain` are two views of one scorecard run (see
+//! `DESIGN.md` §4h). Either flag runs the scorecard sweep once, archives
+//! the scorecard, wall-clock timing and harness failure report to
+//! `BENCH_repro.json` and the same runs' bottleneck attribution
+//! (per-kernel × per-mode cycle/energy breakdowns across six cost
+//! components, plus a component-wise account of the measured-vs-paper
+//! headline speedup gap) to `BENCH_explain.json`, appends the timing to
+//! `BENCH_history.jsonl`, and exits non-zero on any non-waived divergent
+//! verdict, any kernel × mode without a readable record, or any
+//! quarantined/failed job. `--json` prints the scorecard plus the
+//! harness failure report as JSON; `--explain` prints the attribution
+//! table and the headline-gap prose.
 //! `--selftest-harness` runs a tiny sweep with an injected panic and a
 //! hung simulation and verifies the harness isolates both.
-//!
-//! Observability mode (see `DESIGN.md` §4h): `--explain` runs the
-//! scorecard sweep and renders its runs' bottleneck attribution
-//! (per-kernel × per-mode cycle/energy breakdowns across six cost
-//! components): the table plus a component-wise account of the
-//! measured-vs-paper headline speedup gap, archived as
-//! `BENCH_explain.json`. It takes `--jobs`, `--journal` and `--resume`
-//! like `--json`, and fails when a kernel × mode has no readable record.
-//! `--perf-gate` medians the recent `BENCH_history.jsonl` runs (appended
-//! by every `--json` sweep) against the committed `BENCH_baseline.json`
-//! budgets: machine-speed-corrected, warn >10%, fail >25%, noise floor
-//! 50 ms (see `scripts/perf_gate.sh`).
+//! `--perf-gate` medians the recent `BENCH_history.jsonl` runs against
+//! the committed `BENCH_baseline.json` budgets: machine-speed-corrected,
+//! warn >10%, fail >25%, noise floor 50 ms (see `scripts/perf_gate.sh`).
 //!
 //! Fleet mode (see `DESIGN.md` §4i):
 //!
@@ -80,7 +81,6 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use pim_harness::{FsyncPolicy, HarnessPolicy};
-use pim_trace::JsonValue;
 
 struct Cli {
     list: bool,
@@ -325,10 +325,6 @@ fn main() -> ExitCode {
         return fleet(&cli);
     }
 
-    if cli.explain {
-        return explain(&cli);
-    }
-
     if let Some(addr) = &cli.serve {
         let (journal, _) = cli.journal();
         let opts = pim_bench::serve_cli::ServeOptions {
@@ -368,8 +364,8 @@ fn main() -> ExitCode {
         return selftest(&cli);
     }
 
-    if cli.json {
-        return json_scorecard(&cli);
+    if cli.json || cli.explain {
+        return scorecard_run(&cli);
     }
 
     if cli.trace.is_some() || cli.metrics.is_some() {
@@ -392,7 +388,7 @@ fn main() -> ExitCode {
     }
 
     if let Some(id) = &cli.experiment {
-        banner(id);
+        pim_bench::serve_cli::banner(id);
         return match pim_bench::run_experiment(id) {
             Ok(report) => {
                 println!("{report}");
@@ -412,19 +408,23 @@ fn main() -> ExitCode {
 /// Writes the deterministic `BENCH_fleet.json` report and appends a
 /// `fleet-sweep` timing line for the perf gate.
 fn fleet(cli: &Cli) -> ExitCode {
-    let opts = pim_bench::fleet_cli::FleetOptions {
-        devices: cli.devices,
+    let cfg = pim_fleet::FleetConfig {
         seed: cli.seed,
+        devices: cli.devices,
         offset: cli.fleet_offset,
         shard_size: cli.shard_size,
         workers: cli.jobs,
         mem_budget_bytes: cli.mem_budget,
         checkpoint: cli.fleet_checkpoint.as_ref().map(std::path::PathBuf::from),
-        fail_every: cli.fleet_fail_every,
+        fail_shard_every: cli.fleet_fail_every,
         shard_delay_ms: cli.fleet_shard_delay_ms,
-        ..pim_bench::fleet_cli::FleetOptions::default()
+        ..pim_fleet::FleetConfig::default()
     };
-    let outcome = match pim_bench::fleet_cli::run_fleet_cli(&opts) {
+    let outcome = match pim_bench::fleet_cli::run_fleet_cli(
+        &cfg,
+        Path::new("BENCH_fleet.json"),
+        Some(Path::new("BENCH_history.jsonl")),
+    ) {
         Ok(out) => out,
         Err(e) => {
             eprintln!("fleet sweep: {e}");
@@ -464,38 +464,6 @@ fn perf_gate() -> ExitCode {
     }
 }
 
-/// `--explain`: the scorecard sweep's attribution records. Prints the
-/// human table + headline-gap prose and archives `BENCH_explain.json`.
-fn explain(cli: &Cli) -> ExitCode {
-    let (journal, resume) = cli.journal();
-    let out = match pim_bench::jobs::scorecard_sweep(false, cli.policy(), journal, resume) {
-        Ok(out) => out,
-        Err(e) => {
-            eprintln!("harness error: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let records = out.explain_records();
-    print!("{}", pim_bench::explain::explain_text(&records));
-    let doc = pim_bench::explain::explain_json(&records, &out.report);
-    if let Err(e) = std::fs::write("BENCH_explain.json", doc) {
-        eprintln!("failed to write BENCH_explain.json: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("wrote BENCH_explain.json ({} records)", records.len());
-    let summary = out.report.summary();
-    eprintln!("harness: {}", summary.one_line());
-    let failures = pim_bench::scorecard::gate_failures(&[], &out.missing, Some(&summary));
-    for f in &failures {
-        eprintln!("explain: {f}");
-    }
-    if failures.is_empty() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
 /// The default run: every experiment as a supervised harness job. One
 /// panicking or hung experiment no longer kills the whole regeneration —
 /// its siblings complete and the failure report says what broke.
@@ -512,29 +480,21 @@ fn all_experiments(cli: &Cli) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    for r in &report.results {
-        banner(&r.id);
-        match &r.output {
-            Some(text) => println!("{text}"),
-            None => eprintln!(
-                "experiment {} {}: {}",
-                r.id,
-                r.status.label(),
-                r.error.as_deref().unwrap_or("unknown error")
-            ),
-        }
-    }
-    let summary = report.summary();
-    eprintln!("harness: {}", summary.one_line());
-    if summary.all_ok() {
+    pim_bench::serve_cli::print_results(&report.results);
+    if report.all_ok() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
     }
 }
 
-/// `--json`: the harness-driven scorecard sweep, with CI gating.
-fn json_scorecard(cli: &Cli) -> ExitCode {
+/// `--json` and `--explain`: one scorecard sweep, two views of it. Both
+/// write `BENCH_repro.json` and `BENCH_explain.json`, append the run's
+/// timing to `BENCH_history.jsonl` and apply one gate: exit non-zero on
+/// any non-waived divergent verdict, missing record or quarantined/failed
+/// job. `--json` prints the scorecard document, `--explain` the
+/// attribution table and headline-gap prose.
+fn scorecard_run(cli: &Cli) -> ExitCode {
     let t0 = Instant::now();
     let (journal, resume) = cli.journal();
     let out = match pim_bench::jobs::scorecard_sweep(false, cli.policy(), journal, resume) {
@@ -544,42 +504,42 @@ fn json_scorecard(cli: &Cli) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let (entries, report) = (out.entries(), &out.report);
-    let doc = pim_bench::scorecard::to_json_with_harness(&entries, Some(report));
-    println!("{doc}");
+    let (entries, records, report) = (out.entries(), out.explain_records(), &out.report);
     let wall_ms = t0.elapsed().as_millis() as u64;
     // Per-experiment wall times, collected outside the journal so resumed
     // sweeps keep bit-identical results (resumed jobs have no entry here).
     // Aggregated across attempts: a retried job reports total ms + count.
-    let aggregated = pim_bench::jobs::aggregate_timings(&out.timings);
-    let mut exps = JsonValue::array();
-    for (id, ms, attempts) in &aggregated {
-        exps = exps.push(
-            JsonValue::object()
-                .set("id", id.as_str())
-                .set("wall_ms", *ms)
-                .set("attempts", *attempts),
-        );
-    }
-    let bench = JsonValue::object()
-        .set("source", "dmpim repro --json")
-        .set("wall_ms", wall_ms)
-        .set("experiments", exps)
-        .set("scorecard", pim_bench::scorecard::entries_json(&entries))
-        .set("harness", report.to_json_value())
-        .render_pretty();
-    if let Err(e) = std::fs::write("BENCH_repro.json", bench) {
-        eprintln!("failed to write BENCH_repro.json: {e}");
-        return ExitCode::FAILURE;
-    }
-    eprintln!("wrote BENCH_repro.json ({wall_ms} ms)");
-    // Feed the perf-regression gate: one compact line per run.
-    let line = pim_bench::perf_gate::history_line(wall_ms, &aggregated);
-    if let Err(e) = append_line("BENCH_history.jsonl", &line) {
+    let timing = pim_bench::perf_gate::timing_json(
+        wall_ms,
+        &pim_bench::jobs::aggregate_timings(&out.timings),
+    );
+    if let Err(e) = pim_bench::perf_gate::append_history(Path::new("BENCH_history.jsonl"), &timing)
+    {
         eprintln!("failed to append BENCH_history.jsonl: {e}");
         return ExitCode::FAILURE;
     }
-
+    let bench = timing
+        .set("source", "dmpim repro --json")
+        .set("scorecard", pim_bench::scorecard::entries_json(&entries))
+        .set("harness", report.to_json_value());
+    let explain = pim_bench::explain::explain_json(&records, report);
+    for (path, doc) in
+        [("BENCH_repro.json", bench.render_pretty()), ("BENCH_explain.json", explain)]
+    {
+        if let Err(e) = std::fs::write(path, doc) {
+            eprintln!("failed to write {path}: {e}");
+            return ExitCode::FAILURE;
+        }
+    }
+    eprintln!(
+        "wrote BENCH_repro.json ({wall_ms} ms) and BENCH_explain.json ({} records)",
+        records.len()
+    );
+    if cli.json {
+        println!("{}", pim_bench::scorecard::to_json_with_harness(&entries, Some(report)));
+    } else {
+        print!("{}", pim_bench::explain::explain_text(&records));
+    }
     let summary = report.summary();
     let failures = pim_bench::scorecard::gate_failures(&entries, &out.missing, Some(&summary));
     if failures.is_empty() {
@@ -615,16 +575,4 @@ fn selftest(cli: &Cli) -> ExitCode {
         }
         ExitCode::FAILURE
     }
-}
-
-fn append_line(path: &str, line: &str) -> std::io::Result<()> {
-    use std::io::Write as _;
-    let mut f = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
-    writeln!(f, "{line}")
-}
-
-fn banner(id: &str) {
-    println!("{}", "=".repeat(72));
-    println!("== {id}");
-    println!("{}", "=".repeat(72));
 }

@@ -14,57 +14,11 @@
 //! `BENCH_fleet.json` to an uninterrupted one.
 
 use std::fmt::Write as _;
-use std::path::PathBuf;
+use std::path::Path;
 use std::time::Instant;
 
 use pim_fleet::{fleet_report, run_fleet, FleetConfig, FleetError, FleetOutcome};
 use pim_trace::{JsonValue, Tracer};
-
-/// CLI-shaped knobs for a fleet sweep.
-#[derive(Debug, Clone)]
-pub struct FleetOptions {
-    /// Devices to sweep (`--devices`).
-    pub devices: u64,
-    /// Population seed (`--seed`).
-    pub seed: u64,
-    /// First absolute device index (`--fleet-offset`, for shard replay).
-    pub offset: u64,
-    /// Devices per shard (`--shard-size`).
-    pub shard_size: u64,
-    /// Harness workers (`--jobs`).
-    pub workers: usize,
-    /// Soft sketch memory budget in bytes (`--mem-budget`).
-    pub mem_budget_bytes: u64,
-    /// Checkpoint path (`--fleet-checkpoint`); also read on resume.
-    pub checkpoint: Option<PathBuf>,
-    /// Fault-injection knob: every n-th shard times out (`--fleet-fail-every`).
-    pub fail_every: Option<u64>,
-    /// Per-shard delay so kill tests can land mid-run
-    /// (`--fleet-shard-delay-ms`).
-    pub shard_delay_ms: u64,
-    /// Deterministic report output path.
-    pub report_path: PathBuf,
-    /// History file for the perf gate; `None` skips the append.
-    pub history_path: Option<PathBuf>,
-}
-
-impl Default for FleetOptions {
-    fn default() -> Self {
-        Self {
-            devices: 100_000,
-            seed: 7,
-            offset: 0,
-            shard_size: 1_000,
-            workers: 1,
-            mem_budget_bytes: 64 << 20,
-            checkpoint: None,
-            fail_every: None,
-            shard_delay_ms: 0,
-            report_path: PathBuf::from("BENCH_fleet.json"),
-            history_path: Some(PathBuf::from("BENCH_history.jsonl")),
-        }
-    }
-}
 
 /// Human rendering of the deterministic report (stdout).
 pub fn fleet_text(report: &JsonValue) -> String {
@@ -145,25 +99,17 @@ pub fn fleet_text(report: &JsonValue) -> String {
     out
 }
 
-/// Run the sweep, write artifacts, and return the outcome for exit-code
-/// logic. Errors are strings ready for `eprintln!`.
-pub fn run_fleet_cli(opts: &FleetOptions) -> Result<FleetOutcome, String> {
+/// Run the sweep, write the report to `report_path`, append a
+/// `fleet-sweep` line to `history_path` (if any), and return the outcome
+/// for exit-code logic. Errors are strings ready for `eprintln!`.
+pub fn run_fleet_cli(
+    cfg: &FleetConfig,
+    report_path: &Path,
+    history_path: Option<&Path>,
+) -> Result<FleetOutcome, String> {
     let t0 = Instant::now();
-    let cfg = FleetConfig {
-        seed: opts.seed,
-        devices: opts.devices,
-        offset: opts.offset,
-        shard_size: opts.shard_size.max(1),
-        workers: opts.workers.max(1),
-        mem_budget_bytes: opts.mem_budget_bytes,
-        checkpoint: opts.checkpoint.clone(),
-        checkpoint_chaos: None,
-        stop_after_shards: None,
-        fail_shard_every: opts.fail_every,
-        shard_delay_ms: opts.shard_delay_ms,
-    };
     let tracer = Tracer::disabled();
-    let outcome = run_fleet(&cfg, &tracer).map_err(|e| match e {
+    let outcome = run_fleet(cfg, &tracer).map_err(|e| match e {
         FleetError::Mismatch(what) => format!(
             "{what}\n(the checkpoint belongs to a different sweep; \
              delete it or match its parameters)"
@@ -176,14 +122,14 @@ pub fn run_fleet_cli(opts: &FleetOptions) -> Result<FleetOutcome, String> {
     print!("{}", fleet_text(&report));
     let mut doc = report.render_pretty();
     doc.push('\n');
-    std::fs::write(&opts.report_path, doc)
-        .map_err(|e| format!("failed to write {}: {e}", opts.report_path.display()))?;
+    std::fs::write(report_path, doc)
+        .map_err(|e| format!("failed to write {}: {e}", report_path.display()))?;
 
     // Runtime counters are stderr-only: the report file stays a pure
     // function of the sweep key so kill+resume is byte-identical.
     eprintln!(
         "wrote {} ({wall_ms} ms; {} shards this run, {} resumed, {} checkpoints written, {} dropped{})",
-        opts.report_path.display(),
+        report_path.display(),
         outcome.processed_shards,
         outcome.resumed_shards,
         outcome.checkpoint_writes,
@@ -191,18 +137,10 @@ pub fn run_fleet_cli(opts: &FleetOptions) -> Result<FleetOutcome, String> {
         if outcome.recovered_from_corrupt_checkpoint { ", recovered from corrupt checkpoint" } else { "" },
     );
 
-    if let Some(history) = &opts.history_path {
-        let line = crate::perf_gate::history_line(
-            wall_ms,
-            &[("fleet-sweep".to_string(), wall_ms, 1)],
-        );
-        use std::io::Write as _;
-        let append = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(history)
-            .and_then(|mut f| writeln!(f, "{line}"));
-        if let Err(e) = append {
+    if let Some(history) = history_path {
+        let timing =
+            crate::perf_gate::timing_json(wall_ms, &[("fleet-sweep".to_string(), wall_ms, 1)]);
+        if let Err(e) = crate::perf_gate::append_history(history, &timing) {
             eprintln!("failed to append {}: {e}", history.display());
         }
     }
@@ -211,6 +149,8 @@ pub fn run_fleet_cli(opts: &FleetOptions) -> Result<FleetOutcome, String> {
 
 #[cfg(test)]
 mod tests {
+    use std::path::PathBuf;
+
     use super::*;
 
     fn temp(name: &str) -> PathBuf {
@@ -225,16 +165,10 @@ mod tests {
         let report_b = temp("rep-b.json");
         let hist = temp("hist.jsonl");
         let _ = std::fs::remove_file(&hist);
-        let opts = FleetOptions {
-            devices: 1_000,
-            shard_size: 100,
-            workers: 2,
-            report_path: report_a.clone(),
-            history_path: Some(hist.clone()),
-            ..FleetOptions::default()
-        };
-        run_fleet_cli(&opts).unwrap();
-        run_fleet_cli(&FleetOptions { report_path: report_b.clone(), ..opts }).unwrap();
+        let cfg =
+            FleetConfig { devices: 1_000, shard_size: 100, workers: 2, ..FleetConfig::default() };
+        run_fleet_cli(&cfg, &report_a, Some(&hist)).unwrap();
+        run_fleet_cli(&cfg, &report_b, Some(&hist)).unwrap();
         assert_eq!(
             std::fs::read(&report_a).unwrap(),
             std::fs::read(&report_b).unwrap(),
@@ -255,16 +189,14 @@ mod tests {
     #[test]
     fn fleet_text_mentions_quarantine_replay() {
         let report_path = temp("quarantine.json");
-        let opts = FleetOptions {
+        let cfg = FleetConfig {
             devices: 1_000,
             shard_size: 100,
             workers: 2,
-            fail_every: Some(5),
-            report_path: report_path.clone(),
-            history_path: None,
-            ..FleetOptions::default()
+            fail_shard_every: Some(5),
+            ..FleetConfig::default()
         };
-        let outcome = run_fleet_cli(&opts).unwrap();
+        let outcome = run_fleet_cli(&cfg, &report_path, None).unwrap();
         assert_eq!(outcome.state.quarantined.len(), 2);
         let text = fleet_text(&fleet_report(&outcome.state));
         assert!(text.contains("quarantined shard"), "{text}");

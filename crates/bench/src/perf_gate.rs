@@ -1,14 +1,15 @@
 //! The wall-clock perf-regression gate behind `repro --perf-gate`.
 //!
-//! `repro --json` appends one compact line per run to
-//! `BENCH_history.jsonl` (total wall time plus per-experiment wall
-//! times). The gate takes the median over the last few runs — wall time
-//! is noisy; a single slow run must not fail CI — and compares each
-//! experiment against the committed `BENCH_baseline.json`, after
-//! correcting for overall machine speed: every per-experiment budget is
-//! scaled by `median_total / baseline_total`, so a uniformly slower CI
-//! runner shifts no verdicts while a *relative* regression in one
-//! experiment stands out regardless of host.
+//! Every scorecard run (`repro --json` or `--explain`) appends one
+//! compact line to `BENCH_history.jsonl` (total wall time plus
+//! per-experiment wall times). The gate takes the median over the last
+//! few runs — wall time is noisy; a single slow run must not fail CI —
+//! and compares each experiment against the committed
+//! `BENCH_baseline.json`, after correcting for overall machine speed:
+//! every per-experiment budget is scaled by `median_total /
+//! baseline_total`, so a uniformly slower CI runner shifts no verdicts
+//! while a *relative* regression in one experiment stands out regardless
+//! of host.
 //!
 //! Verdicts: an experiment whose speed-corrected ratio exceeds the hard
 //! threshold (default +25%) fails the gate; past the soft threshold
@@ -299,8 +300,10 @@ pub fn run_gate(
     Ok(evaluate(&history, &baseline, config))
 }
 
-/// The compact history line `repro --json` appends for each run.
-pub fn history_line(total_ms: u64, experiments: &[(String, u64, u64)]) -> String {
+/// A run's `wall_ms`/`experiments` block: rendered compact, it is the
+/// `BENCH_history.jsonl` line; a scorecard run also archives it in
+/// `BENCH_repro.json`.
+pub fn timing_json(total_ms: u64, experiments: &[(String, u64, u64)]) -> JsonValue {
     let mut arr = JsonValue::array();
     for (id, ms, attempts) in experiments {
         arr = arr.push(
@@ -310,7 +313,14 @@ pub fn history_line(total_ms: u64, experiments: &[(String, u64, u64)]) -> String
                 .set("attempts", *attempts),
         );
     }
-    JsonValue::object().set("wall_ms", total_ms).set("experiments", arr).render()
+    JsonValue::object().set("wall_ms", total_ms).set("experiments", arr)
+}
+
+/// Append a [`timing_json`] block to the history file as one compact line.
+pub fn append_history(path: &Path, timing: &JsonValue) -> std::io::Result<()> {
+    use std::io::Write as _;
+    let mut f = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
+    writeln!(f, "{}", timing.render())
 }
 
 #[cfg(test)]
@@ -326,10 +336,8 @@ mod tests {
 
     #[test]
     fn history_line_round_trips() {
-        let line = history_line(
-            120,
-            &[("a".to_string(), 100, 1), ("b".to_string(), 20, 2)],
-        );
+        let line =
+            timing_json(120, &[("a".to_string(), 100, 1), ("b".to_string(), 20, 2)]).render();
         let parsed = RunTiming::parse(&line).unwrap();
         assert_eq!(parsed.total_ms, 120);
         assert_eq!(parsed.experiments, vec![("a".to_string(), 100), ("b".to_string(), 20)]);

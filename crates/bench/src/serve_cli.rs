@@ -12,7 +12,6 @@
 
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 
 use pim_core::DmpimError;
 use pim_harness::{FailureSummary, FsyncPolicy, HarnessPolicy, JobResult};
@@ -167,20 +166,10 @@ pub fn banner(id: &str) {
     println!("{}", "=".repeat(72));
 }
 
-/// Connect-retry helper for scripts racing a just-started server.
-pub fn connect_with_retry(addr: &str, name: &str, budget: Duration) -> Result<Client, ServeError> {
-    let deadline = std::time::Instant::now() + budget;
-    loop {
-        match Client::connect(addr, name) {
-            Ok(c) => return Ok(c),
-            Err(e) if std::time::Instant::now() >= deadline => return Err(e),
-            Err(_) => std::thread::sleep(Duration::from_millis(50)),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use pim_serve::WaitOutcome;
     use pim_trace::MetricsReport;
 

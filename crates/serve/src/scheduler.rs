@@ -94,7 +94,6 @@ pub enum WaitOutcome {
 /// One admitted job's record in the job table.
 #[derive(Debug)]
 struct Entry {
-    id: String,
     client: String,
     spec: String,
     result: Option<JobResult>,
@@ -283,8 +282,8 @@ impl Scheduler {
         }
         let job = core.job(&sub.id, &sub.spec);
         let slot = st.entries.len();
-        st.index.insert(sub.id.clone(), slot);
-        st.entries.push(Entry { id: sub.id, client: sub.client, spec: sub.spec, result: None });
+        st.index.insert(sub.id, slot);
+        st.entries.push(Entry { client: sub.client, spec: sub.spec, result: None });
         core.counters.submitted.fetch_add(1, Ordering::Relaxed);
         core.tracer.count("serve.submitted", 1);
         core.tracer.gauge_add("serve.in_flight", 1.0);
@@ -330,22 +329,6 @@ impl Scheduler {
                 Err(_) => return WaitOutcome::Stopped,
             };
         }
-    }
-
-    /// Job ids submitted by `client`, in submission order — the order a
-    /// thin client replays results in.
-    pub fn job_ids_for(&self, client: &str) -> Vec<String> {
-        self.core
-            .state
-            .lock()
-            .map(|st| {
-                st.entries
-                    .iter()
-                    .filter(|e| e.client == client)
-                    .map(|e| e.id.clone())
-                    .collect()
-            })
-            .unwrap_or_default()
     }
 
     /// A point-in-time statistics snapshot. Taken under the state lock,
@@ -458,7 +441,7 @@ impl Core {
                 self.tracer.gauge_add("serve.queue_depth", 1.0);
                 self.pool.push(slot, self.job(&sub.id, &sub.spec), sub.priority);
             }
-            st.entries.push(Entry { id: sub.id, client: sub.client, spec: sub.spec, result });
+            st.entries.push(Entry { client: sub.client, spec: sub.spec, result });
         }
         self.tracer.gauge("serve.clients", st.ledger.client_count() as f64);
     }

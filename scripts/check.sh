@@ -72,14 +72,18 @@ echo "$selftest_out" | grep -q '"failed":1' || { echo "selftest: missing failed=
 echo "$selftest_out" | grep -q '"panic":1' || { echo "selftest: missing panic taxonomy"; exit 1; }
 echo "$selftest_out" | grep -q '"watchdog-timeout":1' || { echo "selftest: missing watchdog taxonomy"; exit 1; }
 
-echo "==> perf smoke: repro --json scorecard drift gate"
-# Regenerates BENCH_repro.json (simulated scorecard + wall-clock timing)
-# and fails if the scorecard block drifted from the committed file. The
-# timing fields move run to run by design; the simulated results must
-# not — the ranged access engine and any future perf work are held to
-# bit-identical scorecards.
+echo "==> scorecard run: repro --json, scorecard drift + share-partition + attribution drift gates"
+# One scorecard sweep writes both archives: BENCH_repro.json (simulated
+# scorecard + wall-clock timing) and BENCH_explain.json (the same runs'
+# bottleneck attribution). Both are deleted first, so every gate below
+# reads this run's files and a run that wrote nothing cannot pass on the
+# committed copies. The scorecard block must not drift from the
+# committed file: the timing fields move run to run by design, the
+# simulated results must not — the ranged access engine and any future
+# perf work are held to bit-identical scorecards.
 # (The colon keeps the newer "scorecard_summary" line out of the match.)
 committed=$(git show HEAD:BENCH_repro.json 2>/dev/null | grep '"scorecard":' || true)
+rm -f BENCH_repro.json BENCH_explain.json
 cargo run -q --release -p pim-bench --bin repro -- --json >/dev/null
 current=$(grep '"scorecard":' BENCH_repro.json)
 if [[ -n "$committed" && "$committed" != "$current" ]]; then
@@ -89,17 +93,9 @@ if [[ -n "$committed" && "$committed" != "$current" ]]; then
     exit 1
 fi
 grep -o '"wall_ms": [0-9]*' BENCH_repro.json | head -1
-
-echo "==> explain: the scorecard sweep's attribution + share-partition gate + drift gate"
-# Regenerates BENCH_explain.json and requires every record's cycle- and
-# energy-share vector to sum to 1 (the attribution must be a true
-# partition of the modeled cost), plus a named dominant component in the
-# headline-gap prose. The regenerated file must also match the committed
-# one byte for byte, as BENCH_fleet.json must below: it is a pure
-# function of the simulator, so any drift is a real change in what the
-# kernels, the memory model or the energy model report.
-explain_out=$(cargo run -q --release -p pim-bench --bin repro -- --explain)
-echo "$explain_out" | grep -q 'dominant component:' || { echo "explain: missing dominant component"; exit 1; }
+# Every record's cycle- and energy-share vector must sum to 1 (the
+# attribution must be a true partition of the modeled cost), and the
+# headline gap must name one of the six components as dominant.
 python3 - <<'EOF'
 import json
 doc = json.load(open('BENCH_explain.json'))
@@ -114,8 +110,16 @@ for r in doc['records']:
             raise SystemExit(f"explain: {r['kernel']}/{r['mode']} {key} shares sum {share_sum}")
         if 'total' in r[key] and abs(r[key]['total'] - total) > 1e-6 * max(total, 1.0):
             raise SystemExit(f"explain: {r['kernel']}/{r['mode']} {key} total field disagrees")
-print(f"explain: {len(doc['records'])} records, shares partition to 1.0")
+labels = ('compute', 'cache', 'coherence', 'dram-queue', 'dram-service', 'pim-link')
+dominant = doc.get('headline_gap', {}).get('attribution', {}).get('dominant_component')
+if dominant not in labels:
+    raise SystemExit(f"explain: headline gap names no dominant component (got {dominant!r})")
+print(f"explain: {len(doc['records'])} records, shares partition to 1.0, dominant component {dominant}")
 EOF
+# The attribution must also match the committed file byte for byte, as
+# BENCH_fleet.json must below: it is a pure function of the simulator,
+# so any drift is a real change in what the kernels, the memory model or
+# the energy model report.
 if git cat-file -e HEAD:BENCH_explain.json 2>/dev/null \
     && ! cmp -s <(git show HEAD:BENCH_explain.json) BENCH_explain.json; then
     echo "explain: BENCH_explain.json drifted from the committed report"
