@@ -22,12 +22,6 @@ use pim_serve::{
 use pim_trace::Tracer;
 
 /// The catalog resolver: maps job specs to this crate's simulations.
-///
-/// `fleet-shard:<seed>:<start>:<count>` evaluates one fleet shard at the
-/// default sketch geometry and returns the mergeable
-/// [`pim_fleet::ShardSummary`] payload — so a `pim-serve` deployment can
-/// farm fleet shards across machines and a coordinator folds the
-/// summaries exactly as the in-process sweep does.
 pub fn resolver() -> Resolver {
     Arc::new(|spec, ctx| {
         if let Some(id) = spec.strip_prefix("experiment:") {
@@ -36,25 +30,6 @@ pub fn resolver() -> Resolver {
             crate::jobs::measure_kernel(name, false, &ctx.tracer, ctx.watchdog)
         } else if let Some(name) = spec.strip_prefix("kernel-smoke:") {
             crate::jobs::measure_kernel(name, true, &ctx.tracer, ctx.watchdog)
-        } else if let Some(rest) = spec.strip_prefix("fleet-shard:") {
-            let parts: Vec<&str> = rest.split(':').collect();
-            let parsed: Option<(u64, u64, u64)> = match parts.as_slice() {
-                [seed, start, count] => match (seed.parse(), start.parse(), count.parse()) {
-                    (Ok(s), Ok(st), Ok(c)) => Some((s, st, c)),
-                    _ => None,
-                },
-                _ => None,
-            };
-            match parsed {
-                Some((seed, start, count)) if count > 0 => Ok(pim_fleet::evaluate_shard(
-                    seed,
-                    start,
-                    count,
-                    pim_fleet::SketchConfig::default(),
-                )
-                .render()),
-                _ => Err(DmpimError::UnknownExperiment { id: spec.to_string() }),
-            }
         } else {
             Err(DmpimError::UnknownExperiment { id: spec.to_string() })
         }
@@ -193,27 +168,6 @@ mod tests {
         assert!(r("experiment:nope", &ctx).is_err());
         assert!(r("kernel:nope", &ctx).is_err());
         assert!(r("garbage", &ctx).is_err());
-    }
-
-    #[test]
-    fn fleet_shard_spec_returns_the_mergeable_summary() {
-        let r = resolver();
-        let tracer = Tracer::disabled();
-        let ctx = pim_harness::JobCtx {
-            job_id: "t".into(),
-            attempt: 1,
-            tracer: tracer.clone(),
-            track: tracer.track("t"),
-            watchdog: pim_core::Watchdog::unlimited(),
-        };
-        let payload = r("fleet-shard:7:100:50", &ctx).unwrap();
-        let direct =
-            pim_fleet::evaluate_shard(7, 100, 50, pim_fleet::SketchConfig::default()).render();
-        assert_eq!(payload, direct, "served shard must match the in-process evaluation");
-        assert!(pim_fleet::ShardSummary::parse(&payload).is_ok());
-        assert!(r("fleet-shard:7:100", &ctx).is_err(), "missing field");
-        assert!(r("fleet-shard:7:x:50", &ctx).is_err(), "non-numeric field");
-        assert!(r("fleet-shard:7:100:0", &ctx).is_err(), "empty shard");
     }
 
     #[test]

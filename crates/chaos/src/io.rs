@@ -35,10 +35,6 @@ impl<R: Read> ChaosReader<R> {
         Self { inner, plan }
     }
 
-    pub fn get_ref(&self) -> &R {
-        &self.inner
-    }
-
     pub fn get_mut(&mut self) -> &mut R {
         &mut self.inner
     }
@@ -72,10 +68,6 @@ pub struct ChaosWriter<W> {
 impl<W: Write> ChaosWriter<W> {
     pub fn new(inner: W, plan: ChaosPlan) -> Self {
         Self { inner, plan }
-    }
-
-    pub fn get_ref(&self) -> &W {
-        &self.inner
     }
 
     pub fn get_mut(&mut self) -> &mut W {
@@ -136,10 +128,6 @@ impl<S> ChaosStream<S> {
             read_plan: ChaosPlan::fork(cfg, seed, 1),
             write_plan: ChaosPlan::fork(cfg, seed, 2),
         }
-    }
-
-    pub fn get_ref(&self) -> &S {
-        &self.inner
     }
 
     pub fn into_inner(self) -> S {
@@ -215,13 +203,6 @@ impl ChaosFile {
         Ok(Self {
             inner: ChaosWriter::new(file, plan),
         })
-    }
-
-    /// Wrap an already-open file.
-    pub fn from_file(file: File, plan: ChaosPlan) -> Self {
-        Self {
-            inner: ChaosWriter::new(file, plan),
-        }
     }
 
     pub fn sync_data(&mut self) -> io::Result<()> {

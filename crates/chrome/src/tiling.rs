@@ -87,11 +87,6 @@ impl TextureTilingKernel {
         Self::new(512, 512, 0x7e97)
     }
 
-    /// Tile an existing bitmap.
-    pub fn from_bitmap(bitmap: Bitmap) -> Self {
-        Self { bitmap, tiled: Vec::new() }
-    }
-
     /// The input bitmap.
     pub fn bitmap(&self) -> &Bitmap {
         &self.bitmap

@@ -132,33 +132,6 @@ impl<T: Copy> Tracked<T> {
         ctx.access(self.buf.addr(i as u64 * Self::elem_bytes()), bytes, kind);
     }
 
-    /// Report `rows` ranged accesses of `n` elements each, starting at
-    /// element `i` and advancing `stride` elements between rows — a 2-D
-    /// block as one stride/run-length descriptor for the ranged engine,
-    /// equivalent to (but much cheaper than) a [`Tracked::touch_range`]
-    /// per row.
-    pub fn touch_rows(
-        &self,
-        ctx: &mut SimContext,
-        i: usize,
-        n: usize,
-        stride: usize,
-        rows: usize,
-        kind: AccessKind,
-    ) {
-        if n == 0 || rows == 0 {
-            return;
-        }
-        let eb = Self::elem_bytes();
-        ctx.access_range(
-            self.buf.addr(i as u64 * eb),
-            n as u64 * eb,
-            stride as u64 * eb,
-            rows as u64,
-            kind,
-        );
-    }
-
     /// Starting element index of every `width`-element row, in order.
     /// Streaming kernels iterate this and issue one ranged access per row
     /// instead of per-element traffic. A trailing partial row is skipped.
@@ -207,12 +180,6 @@ impl<T: Copy> Tracked<T> {
     /// generate simulated traffic).
     pub fn as_slice(&self) -> &[T] {
         &self.data
-    }
-
-    /// Direct untracked mutable view (initialization that would not create
-    /// memory traffic in the modeled system, e.g. DMA-filled inputs).
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
     }
 
     /// Consume the wrapper and return the data.

@@ -338,11 +338,6 @@ impl FaultPlan {
         self.world_offset_ps = offset_ps;
     }
 
-    /// The world-time offset currently in effect.
-    pub fn world_offset(&self) -> Ps {
-        self.world_offset_ps
-    }
-
     /// The full windowed schedule, sorted by start time. Per-access draws
     /// are not part of the schedule (they depend on traffic).
     pub fn schedule(&self) -> Vec<FaultEvent> {

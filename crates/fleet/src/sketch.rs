@@ -137,11 +137,6 @@ impl QuantileSketch {
         self.sum
     }
 
-    /// Resident bytes of the dense count array.
-    pub fn mem_bytes(&self) -> u64 {
-        self.counts.len() as u64 * 8
-    }
-
     fn bucket_index(&self, v: u64) -> usize {
         let m = self.sub_bits;
         if v < (1u64 << (m + 1)) {
@@ -302,11 +297,6 @@ impl FixedHistogram {
         self.count
     }
 
-    /// Resident bytes.
-    pub fn mem_bytes(&self) -> u64 {
-        self.counts.len() as u64 * 8
-    }
-
     /// Fold one observation in.
     pub fn observe(&mut self, v: u64) {
         let idx = ((v / self.step) as usize).min(self.counts.len() - 1);
@@ -442,11 +432,6 @@ impl CountMinSketch {
     /// Counters per row.
     pub fn width(&self) -> usize {
         self.width
-    }
-
-    /// Resident bytes.
-    pub fn mem_bytes(&self) -> u64 {
-        self.rows.len() as u64 * 8
     }
 
     fn slot(&self, row: usize, key_hash: u64) -> usize {

@@ -1,31 +1,45 @@
-//! The JSONL job journal behind `--resume`.
+//! The JSONL job journal: one module behind both the harness's
+//! `--resume` journal and the `pim-serve` write-ahead log.
 //!
 //! Format: one JSON object per line, each built as a
 //! [`pim_trace::JsonValue`], written with [`JsonValue::render`] and read
 //! back with [`JsonValue::parse`], the workspace's one JSON codec. The
-//! first line is a header:
+//! first line is a header naming the format and its version; a harness
+//! journal's header also records the sweep's job count:
 //!
 //! ```text
 //! {"journal":"pim-harness","version":1,"jobs":9}
+//! {"journal":"pim-serve","version":1}
 //! ```
 //!
-//! Each subsequent line records one *terminal* job result:
+//! Each later line is one record. A *result* record carries one job's
+//! terminal result, in the same bytes in both journals:
 //!
 //! ```text
 //! {"job":"texture tiling","status":"ok","attempts":1,"output":"..."}
 //! {"job":"bricked","status":"quarantined","attempts":2,"error_label":"watchdog-timeout","error":"..."}
 //! ```
 //!
-//! Lines are appended and flushed as each job completes, so a killed
-//! sweep's journal is valid up to (at worst) one truncated trailing line.
-//! The reader is corruption-tolerant end to end: unparseable lines
-//! anywhere in the body (truncated tails, interleaved partial writes,
-//! embedded garbage) are skipped and counted, and duplicated records
-//! restore once with the later record winning — resume never aborts on a
-//! damaged journal and never runs a journaled job twice. Because entries
-//! carry the full result (including the output payload), resuming re-runs
-//! only jobs with no intact journal line and merges to bit-identical
-//! output.
+//! A harness journal holds only results; the server journal interleaves
+//! them with its submission records (`pim_serve::recovery`). Three items
+//! serve both formats:
+//!
+//! * [`RecordWriter`] appends one flushed (optionally synced) line per
+//!   record, so a killed process leaves at worst one torn trailing line,
+//!   and a failed write can never splice into the next record;
+//! * [`replay`] reads a journal back. It checks the header, then reads
+//!   the body corruption-tolerantly: lines that are not JSON anywhere in
+//!   it (truncated tails, interleaved partial writes, embedded garbage)
+//!   are skipped and counted, results restore once with the later
+//!   record winning, and every other record comes back in file order for
+//!   the format's owner to read. Replay never aborts on a damaged body;
+//! * [`rewrite`] compacts a damaged journal: header plus the records
+//!   that survived, put in place by [`replace_atomically`].
+//!
+//! Because results carry their output payload as a string, a resumed
+//! sweep re-runs only jobs with no intact result and merges to
+//! bit-identical output, and a recovered server serves restored results
+//! bit-identically.
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
@@ -38,9 +52,9 @@ use pim_trace::JsonValue;
 use crate::job::{JobResult, JobStatus};
 use crate::HarnessError;
 
-/// Magic name in the header line.
+/// Magic name in a harness journal's header line.
 const MAGIC: &str = "pim-harness";
-/// Journal format version.
+/// Harness journal format version.
 const VERSION: u64 = 1;
 
 /// Bound on consecutive transient write stalls (`Interrupted`,
@@ -122,8 +136,8 @@ impl JournalSink for ChaosFile {
 
 impl JournalSink for Vec<u8> {}
 
-/// Line-oriented durable record writer shared by the harness journal and
-/// the `pim-serve` write-ahead journal.
+/// Line-oriented durable record writer, the one writer of both the
+/// harness journal and the `pim-serve` write-ahead journal.
 ///
 /// Guarantees, even over a faulty sink:
 ///
@@ -135,6 +149,8 @@ impl JournalSink for Vec<u8> {}
 ///   the stranded fragment sits alone on a line the corruption-tolerant
 ///   reader skips — a torn record can never splice into a later one;
 /// * per-record durability follows the [`FsyncPolicy`].
+///
+/// Errors carry the journal path as an [`HarnessError::Io`].
 pub struct RecordWriter {
     path: PathBuf,
     sink: Box<dyn JournalSink>,
@@ -143,31 +159,70 @@ pub struct RecordWriter {
 }
 
 impl RecordWriter {
-    /// Truncate/create `path` as the sink.
-    pub fn create(path: &Path, fsync: FsyncPolicy) -> io::Result<Self> {
-        let file = File::create(path)?;
-        Ok(Self::from_sink(path, Box::new(file), fsync))
+    /// Start a fresh journal at `path` (truncating any file there) with
+    /// `header` as its first line. `chaos` wraps the file in a seeded
+    /// fault plan (testing only): its writes then suffer the plan's torn
+    /// writes, transient stalls and disk-full onsets.
+    pub fn create(
+        path: &Path,
+        header: &JsonValue,
+        fsync: FsyncPolicy,
+        chaos: Option<(ChaosConfig, u64)>,
+    ) -> Result<Self, HarnessError> {
+        let sink: io::Result<Box<dyn JournalSink>> = match chaos {
+            Some((cfg, seed)) => {
+                ChaosFile::create(path, ChaosPlan::new(cfg, seed)).map(|f| Box::new(f) as _)
+            }
+            None => File::create(path).map(|f| Box::new(f) as _),
+        };
+        Self::start(path, sink.map_err(|e| HarnessError::io(path, &e))?, header, fsync)
     }
 
-    /// Open `path` for appending.
-    pub fn append(path: &Path, fsync: FsyncPolicy) -> io::Result<Self> {
-        let file = OpenOptions::new().append(true).open(path)?;
-        Ok(Self::from_sink(path, Box::new(file), fsync))
+    /// Reopen the journal at `path` for appending, with an optional chaos
+    /// fault plan as for [`RecordWriter::create`].
+    pub fn append(
+        path: &Path,
+        fsync: FsyncPolicy,
+        chaos: Option<(ChaosConfig, u64)>,
+    ) -> Result<Self, HarnessError> {
+        let sink: io::Result<Box<dyn JournalSink>> = match chaos {
+            Some((cfg, seed)) => {
+                ChaosFile::append(path, ChaosPlan::new(cfg, seed)).map(|f| Box::new(f) as _)
+            }
+            None => OpenOptions::new().append(true).open(path).map(|f| Box::new(f) as _),
+        };
+        let sink = sink.map_err(|e| HarnessError::io(path, &e))?;
+        Ok(Self { path: path.to_path_buf(), sink, fsync, dirty: false })
     }
 
-    /// Wrap an arbitrary sink; `path` is only a label for error messages.
-    pub fn from_sink(path: &Path, sink: Box<dyn JournalSink>, fsync: FsyncPolicy) -> Self {
-        Self { path: path.to_path_buf(), sink, fsync, dirty: false }
+    /// Start a journal over an arbitrary sink; `path` only labels errors.
+    /// The header is written through the sink, so a faulting sink fails
+    /// the start the same way a faulting disk would.
+    pub fn start(
+        path: &Path,
+        sink: Box<dyn JournalSink>,
+        header: &JsonValue,
+        fsync: FsyncPolicy,
+    ) -> Result<Self, HarnessError> {
+        let mut w = Self { path: path.to_path_buf(), sink, fsync, dirty: false };
+        w.write_record(header)?;
+        Ok(w)
     }
 
-    /// The path label this writer reports in errors.
-    pub fn path(&self) -> &Path {
-        &self.path
+    /// Append one terminal result as its result record.
+    pub fn record(&mut self, r: &JobResult) -> Result<(), HarnessError> {
+        self.write_record(&record_json(JsonValue::object(), r))
     }
 
-    /// Append one record line (newline added here). See the type docs for
-    /// the fault-tolerance contract.
-    pub fn write_line(&mut self, s: &str) -> io::Result<()> {
+    /// Append one record as a line. See the type docs for the
+    /// fault-tolerance contract.
+    pub fn write_record(&mut self, record: &JsonValue) -> Result<(), HarnessError> {
+        let mut buf = record.render().into_bytes();
+        buf.push(b'\n');
+        self.write_line(&buf).map_err(|e| HarnessError::io(&self.path, &e))
+    }
+
+    fn write_line(&mut self, line: &[u8]) -> io::Result<()> {
         if self.dirty {
             // Isolate the previous record's stranded fragment on its own
             // line. If the guard itself fails we stay dirty and the caller
@@ -175,15 +230,8 @@ impl RecordWriter {
             self.write_fully(b"\n")?;
             self.dirty = false;
         }
-        let mut buf = Vec::with_capacity(s.len() + 1);
-        buf.extend_from_slice(s.as_bytes());
-        buf.push(b'\n');
-        if let Err(e) = self.write_fully(&buf) {
+        if let Err(e) = self.write_fully(line).and_then(|()| self.sink.flush()) {
             // Unknown how much of the failed call landed; be conservative.
-            self.dirty = true;
-            return Err(e);
-        }
-        if let Err(e) = self.sink.flush() {
             self.dirty = true;
             return Err(e);
         }
@@ -230,92 +278,93 @@ impl RecordWriter {
     }
 }
 
-/// Append-only journal writer; one durably-written line per completed job.
-pub struct JournalWriter {
-    out: RecordWriter,
+/// A journal as [`replay`] read it back.
+#[derive(Debug)]
+pub struct Replay {
+    /// The header line.
+    pub header: JsonValue,
+    /// Terminal results keyed by job id.
+    pub results: BTreeMap<String, JobResult>,
+    /// Every body record that is not a result, in file order.
+    pub records: Vec<JsonValue>,
+    /// Body lines that were not JSON (truncated, garbled, interleaved
+    /// partial writes), skipped rather than aborting the replay.
+    pub skipped: usize,
+    /// Result records that repeated a job id already restored; the later
+    /// record wins, and the job is still restored exactly once.
+    pub duplicates: usize,
 }
 
-impl JournalWriter {
-    /// Start a fresh journal (truncates) and write the header.
-    pub fn create(path: &Path, jobs: usize) -> Result<Self, HarnessError> {
-        Self::create_opts(path, jobs, FsyncPolicy::Off, None)
-    }
-
-    /// [`JournalWriter::create`] with an explicit durability policy and an
-    /// optional chaos fault plan wrapped around the file.
-    pub fn create_opts(
-        path: &Path,
-        jobs: usize,
-        fsync: FsyncPolicy,
-        chaos: Option<(ChaosConfig, u64)>,
-    ) -> Result<Self, HarnessError> {
-        let out = match chaos {
-            Some((cfg, seed)) => {
-                let file = ChaosFile::create(path, ChaosPlan::new(cfg, seed))
-                    .map_err(|e| HarnessError::io(path, &e))?;
-                RecordWriter::from_sink(path, Box::new(file), fsync)
-            }
-            None => RecordWriter::create(path, fsync).map_err(|e| HarnessError::io(path, &e))?,
-        };
-        let mut w = Self { out };
-        w.line(&header_line(jobs))?;
-        Ok(w)
-    }
-
-    /// Reopen an existing journal for appending (resume).
-    pub fn append(path: &Path) -> Result<Self, HarnessError> {
-        Self::append_opts(path, FsyncPolicy::Off, None)
-    }
-
-    /// [`JournalWriter::append`] with an explicit durability policy and an
-    /// optional chaos fault plan wrapped around the file.
-    pub fn append_opts(
-        path: &Path,
-        fsync: FsyncPolicy,
-        chaos: Option<(ChaosConfig, u64)>,
-    ) -> Result<Self, HarnessError> {
-        let out = match chaos {
-            Some((cfg, seed)) => {
-                let file = ChaosFile::append(path, ChaosPlan::new(cfg, seed))
-                    .map_err(|e| HarnessError::io(path, &e))?;
-                RecordWriter::from_sink(path, Box::new(file), fsync)
-            }
-            None => RecordWriter::append(path, fsync).map_err(|e| HarnessError::io(path, &e))?,
-        };
-        Ok(Self { out })
-    }
-
-    /// Record one terminal result.
-    pub fn record(&mut self, r: &JobResult) -> Result<(), HarnessError> {
-        self.line(&record_line(r))
-    }
-
-    fn line(&mut self, s: &str) -> Result<(), HarnessError> {
-        let path = self.out.path().to_path_buf();
-        self.out.write_line(s).map_err(|e| HarnessError::io(&path, &e))
-    }
+/// The header of a `magic` journal at format `version`.
+pub fn header(magic: &str, version: u64) -> JsonValue {
+    JsonValue::object().set("journal", magic).set("version", version)
 }
 
-/// Rewrite a damaged journal atomically, healing it for future resumes:
-/// a fresh header plus one intact line per restored record, put in place
-/// by [`replace_atomically`]. Corrupt debris, duplicate records, and torn
-/// fragments disappear; surviving records are re-rendered byte-identically
-/// (the record codec round-trips).
-pub fn compact_journal(
+/// Read back a `magic` journal at format `version`.
+///
+/// # Errors
+///
+/// Fails if the file cannot be read or its header is missing or names
+/// another format or version ([`HarnessError::JournalMismatch`]).
+///
+/// Body corruption is *never* an error: truncated tails, interleaved
+/// partial lines, embedded garbage and invalid UTF-8 are skipped and
+/// counted ([`Replay::skipped`]), and a repeated result counts in
+/// [`Replay::duplicates`].
+pub fn replay(path: &Path, magic: &str, version: u64) -> Result<Replay, HarnessError> {
+    let bytes = std::fs::read(path).map_err(|e| HarnessError::io(path, &e))?;
+    // Corruption can include invalid UTF-8; decode lossily so one garbled
+    // line cannot abort the whole replay. Replacement characters make the
+    // affected line unparseable, which is exactly skip-and-count.
+    let text = String::from_utf8_lossy(&bytes);
+    let mut lines = text.lines();
+    let header = lines
+        .next()
+        .and_then(|line| JsonValue::parse(line).ok())
+        .ok_or_else(|| HarnessError::mismatch(path, "missing or unreadable header line"))?;
+    if header.get("journal").and_then(JsonValue::as_str) != Some(magic)
+        || header.get("version").and_then(JsonValue::as_u64) != Some(version)
+    {
+        return Err(HarnessError::mismatch(
+            path,
+            &format!("header is not a {magic} v{version} journal"),
+        ));
+    }
+    let mut replay =
+        Replay { header, results: BTreeMap::new(), records: Vec::new(), skipped: 0, duplicates: 0 };
+    for line in lines.filter(|line| !line.trim().is_empty()) {
+        let Ok(record) = JsonValue::parse(line) else {
+            replay.skipped += 1;
+            continue;
+        };
+        match result_from_json(&record) {
+            Some(r) => {
+                if replay.results.insert(r.id.clone(), r).is_some() {
+                    replay.duplicates += 1;
+                }
+            }
+            None => replay.records.push(record),
+        }
+    }
+    Ok(replay)
+}
+
+/// Compact a journal: replace the file at `path` with `header` and
+/// `records`, one line each, through [`replace_atomically`], so a crash
+/// mid-compaction leaves the old journal or the new one, never a mix.
+/// Records re-render byte-identically (the codec round-trips).
+pub fn rewrite(
     path: &Path,
-    state: &JournalState,
-    jobs: usize,
-) -> Result<(), HarnessError> {
-    let mut text = header_line(jobs);
+    header: &JsonValue,
+    records: impl IntoIterator<Item = JsonValue>,
+) -> Result<(), (PathBuf, io::Error)> {
+    let mut text = header.render();
     text.push('\n');
-    for r in state.completed.values() {
-        text.push_str(&record_line(r));
+    for record in records {
+        text.push_str(&record.render());
         text.push('\n');
     }
-    replace_atomically(path, text.as_bytes(), |tmp| {
-        Ok(Box::new(File::create(tmp)?))
-    })
-    .map_err(|(failed, e)| HarnessError::io(&failed, &e))
+    replace_atomically(path, text.as_bytes(), |tmp| Ok(Box::new(File::create(tmp)?)))
 }
 
 /// Atomically replace the file at `path` with `bytes`: write them to
@@ -346,17 +395,9 @@ pub fn replace_atomically(
     Ok(())
 }
 
-/// The header line of a journal for a sweep of `jobs` jobs.
-fn header_line(jobs: usize) -> String {
-    JsonValue::object().set("journal", MAGIC).set("version", VERSION).set("jobs", jobs).render()
-}
-
-/// Render one terminal result as its journal line (no trailing newline).
-///
-/// Exposed so embedders that keep their own incremental journals — the
-/// `pim-serve` server journal interleaves submission records with these
-/// result records — serialize results in exactly the harness's format and
-/// stay readable by [`parse_result_line`].
+/// Render one terminal result as its journal line (no trailing newline),
+/// the line [`RecordWriter::record`] writes and [`parse_result_line`]
+/// reads.
 pub fn record_line(r: &JobResult) -> String {
     record_json(JsonValue::object(), r).render()
 }
@@ -403,73 +444,49 @@ pub fn result_from_json(v: &JsonValue) -> Option<JobResult> {
     })
 }
 
-/// Parsed journal: completed results keyed by job id.
-#[derive(Debug, Default)]
-pub struct JournalState {
-    /// Terminal results restored from the journal.
-    pub completed: BTreeMap<String, JobResult>,
-    /// Body lines that were corrupt (truncated, garbled, interleaved
-    /// partial writes) and skipped rather than aborting the resume.
-    pub skipped: usize,
-    /// Result records that repeated a job id already restored; the later
-    /// record wins, and the job is still resumed exactly once.
-    pub duplicates: usize,
+/// The header of a harness journal for a sweep of `jobs` jobs.
+pub fn sweep_header(jobs: usize) -> JsonValue {
+    header(MAGIC, VERSION).set("jobs", jobs)
 }
 
-/// Read a journal back for `--resume`.
+/// Read a harness journal back for `--resume`: [`replay`] with the
+/// harness's magic and version, plus the sweep's job count. A harness
+/// journal holds only results, so any other record counts as skipped.
 ///
 /// # Errors
 ///
-/// Fails if the file cannot be read, the header is missing or does not
-/// match this harness/version, or the recorded job count differs from the
-/// sweep being resumed (the journal belongs to a different sweep).
-///
-/// Body corruption is *never* an error: truncated tails, interleaved
-/// partial lines, embedded garbage, and duplicated records are skipped
-/// and counted ([`JournalState::skipped`] / [`JournalState::duplicates`]).
+/// Fails as [`replay`] does, and if the recorded job count differs from
+/// the sweep being resumed (the journal belongs to a different sweep).
 /// A job whose record was destroyed simply re-runs; a job with any intact
 /// record is restored exactly once, never re-run.
-pub fn read_journal(path: &Path, expected_jobs: usize) -> Result<JournalState, HarnessError> {
-    let bytes = std::fs::read(path).map_err(|e| HarnessError::io(path, &e))?;
-    // Corruption can include invalid UTF-8; decode lossily so one garbled
-    // line cannot abort the whole resume. Replacement characters make the
-    // affected line unparseable, which is exactly skip-and-count.
-    let text = String::from_utf8_lossy(&bytes);
-    let mut lines = text.lines();
-    let header = lines
-        .next()
-        .and_then(|line| JsonValue::parse(line).ok())
-        .ok_or_else(|| HarnessError::mismatch(path, "missing or unreadable header line"))?;
-    match (
-        header.get("journal").and_then(JsonValue::as_str),
-        header.get("version").and_then(JsonValue::as_u64),
-        header.get("jobs").and_then(JsonValue::as_u64),
-    ) {
-        (Some(MAGIC), Some(VERSION), Some(jobs)) => {
-            if jobs as usize != expected_jobs {
-                return Err(HarnessError::mismatch(
-                    path,
-                    &format!("journal records {jobs} jobs but this sweep has {expected_jobs}"),
-                ));
-            }
+pub fn read_journal(path: &Path, expected_jobs: usize) -> Result<Replay, HarnessError> {
+    let mut state = replay(path, MAGIC, VERSION)?;
+    match state.header.get("jobs").and_then(JsonValue::as_u64) {
+        Some(jobs) if jobs as usize == expected_jobs => {}
+        Some(jobs) => {
+            return Err(HarnessError::mismatch(
+                path,
+                &format!("journal records {jobs} jobs but this sweep has {expected_jobs}"),
+            ))
         }
-        _ => return Err(HarnessError::mismatch(path, "header is not a pim-harness v1 journal")),
-    }
-
-    let mut state = JournalState::default();
-    for line in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let Some(result) = parse_result_line(line) else {
-            state.skipped += 1;
-            continue;
-        };
-        if state.completed.insert(result.id.clone(), result).is_some() {
-            state.duplicates += 1;
+        None => {
+            return Err(HarnessError::mismatch(
+                path,
+                &format!("header is not a {MAGIC} v{VERSION} journal"),
+            ))
         }
     }
+    state.skipped += std::mem::take(&mut state.records).len();
     Ok(state)
+}
+
+/// Rewrite a damaged harness journal for future resumes: a fresh header
+/// plus one line per restored result, in job-id order, through
+/// [`rewrite`]. Corrupt debris, duplicate records and torn fragments
+/// disappear.
+pub fn compact_journal(path: &Path, state: &Replay, jobs: usize) -> Result<(), HarnessError> {
+    let results = state.results.values().map(|r| record_json(JsonValue::object(), r));
+    rewrite(path, &sweep_header(jobs), results).map_err(|(failed, e)| HarnessError::io(&failed, &e))
 }
 
 #[cfg(test)]
@@ -481,6 +498,11 @@ mod tests {
         let mut p = std::env::temp_dir();
         p.push(format!("pim-harness-test-{}-{name}", std::process::id()));
         p
+    }
+
+    /// A fresh harness journal for a sweep of `jobs` jobs.
+    fn create(path: &Path, jobs: usize) -> RecordWriter {
+        RecordWriter::create(path, &sweep_header(jobs), FsyncPolicy::Off, None).unwrap()
     }
 
     #[test]
@@ -511,15 +533,15 @@ mod tests {
             .with_seed(Some(7)),
         ];
         {
-            let mut w = JournalWriter::create(&path, results.len()).unwrap();
+            let mut w = create(&path, results.len());
             for r in &results {
                 w.record(r).unwrap();
             }
         }
         let state = read_journal(&path, results.len()).unwrap();
-        assert_eq!(state.completed.len(), results.len());
+        assert_eq!(state.results.len(), results.len());
         for r in &results {
-            assert_eq!(state.completed.get(&r.id), Some(r));
+            assert_eq!(state.results.get(&r.id), Some(r));
         }
         std::fs::remove_file(&path).ok();
     }
@@ -528,7 +550,7 @@ mod tests {
     fn truncated_tail_is_tolerated() {
         let path = tmp("truncated.jsonl");
         {
-            let mut w = JournalWriter::create(&path, 3).unwrap();
+            let mut w = create(&path, 3);
             w.record(&JobResult::ok("a", 1, "1".into())).unwrap();
             w.record(&JobResult::ok("b", 1, "2".into())).unwrap();
         }
@@ -537,8 +559,8 @@ mod tests {
         let cut = text.len() - 10;
         std::fs::write(&path, &text[..cut]).unwrap();
         let state = read_journal(&path, 3).unwrap();
-        assert_eq!(state.completed.len(), 1);
-        assert!(state.completed.contains_key("a"));
+        assert_eq!(state.results.len(), 1);
+        assert!(state.results.contains_key("a"));
         assert_eq!(state.skipped, 1, "the chopped line is counted, not fatal");
         std::fs::remove_file(&path).ok();
     }
@@ -547,7 +569,7 @@ mod tests {
     fn mid_journal_corruption_is_skipped_and_counted() {
         let path = tmp("midcorrupt.jsonl");
         {
-            let mut w = JournalWriter::create(&path, 4).unwrap();
+            let mut w = create(&path, 4);
             w.record(&JobResult::ok("a", 1, "1".into())).unwrap();
             w.record(&JobResult::ok("b", 1, "2".into())).unwrap();
             w.record(&JobResult::ok("c", 1, "3".into())).unwrap();
@@ -568,9 +590,9 @@ mod tests {
         std::fs::write(&path, format!("{}\n", mangled.join("\n"))).unwrap();
         let state = read_journal(&path, 4).unwrap();
         assert_eq!(state.skipped, 1);
-        assert!(state.completed.contains_key("a"));
-        assert!(!state.completed.contains_key("b"), "damaged record re-runs");
-        assert!(state.completed.contains_key("c"), "records after the damage survive");
+        assert!(state.results.contains_key("a"));
+        assert!(!state.results.contains_key("b"), "damaged record re-runs");
+        assert!(state.results.contains_key("c"), "records after the damage survive");
         std::fs::remove_file(&path).ok();
     }
 
@@ -578,15 +600,15 @@ mod tests {
     fn duplicate_records_restore_once_with_later_winning() {
         let path = tmp("dup.jsonl");
         {
-            let mut w = JournalWriter::create(&path, 2).unwrap();
+            let mut w = create(&path, 2);
             w.record(&JobResult::ok("a", 1, "first".into())).unwrap();
             w.record(&JobResult::ok("a", 2, "second".into())).unwrap();
             w.record(&JobResult::ok("b", 1, "only".into())).unwrap();
         }
         let state = read_journal(&path, 2).unwrap();
-        assert_eq!(state.completed.len(), 2);
+        assert_eq!(state.results.len(), 2);
         assert_eq!(state.duplicates, 1);
-        assert_eq!(state.completed["a"].output.as_deref(), Some("second"));
+        assert_eq!(state.results["a"].output.as_deref(), Some("second"));
         std::fs::remove_file(&path).ok();
     }
 
@@ -594,7 +616,7 @@ mod tests {
     fn nul_bytes_and_invalid_utf8_cannot_abort_the_read() {
         let path = tmp("nul.jsonl");
         {
-            let mut w = JournalWriter::create(&path, 3).unwrap();
+            let mut w = create(&path, 3);
             w.record(&JobResult::ok("a", 1, "1".into())).unwrap();
         }
         // Append a line of raw NUL bytes and a line of invalid UTF-8 —
@@ -605,8 +627,8 @@ mod tests {
         f.write_all(b"{\"job\":\"b\xff\xfe\n").unwrap();
         drop(f);
         let state = read_journal(&path, 3).unwrap();
-        assert!(state.completed.contains_key("a"));
-        assert_eq!(state.completed.len(), 1);
+        assert!(state.results.contains_key("a"));
+        assert_eq!(state.results.len(), 1);
         assert_eq!(state.skipped, 2);
         std::fs::remove_file(&path).ok();
     }
@@ -615,7 +637,7 @@ mod tests {
     fn job_count_mismatch_is_an_error() {
         let path = tmp("mismatch.jsonl");
         {
-            JournalWriter::create(&path, 3).unwrap();
+            create(&path, 3);
         }
         let err = read_journal(&path, 5).unwrap_err();
         assert!(err.to_string().contains("3 jobs"), "{err}");
@@ -646,12 +668,12 @@ mod tests {
         for policy in [FsyncPolicy::Off, FsyncPolicy::Data, FsyncPolicy::Full] {
             let path = tmp(&format!("fsync-{}.jsonl", policy.label()));
             {
-                let mut w = JournalWriter::create_opts(&path, 2, policy, None).unwrap();
+                let mut w = RecordWriter::create(&path, &sweep_header(2), policy, None).unwrap();
                 w.record(&JobResult::ok("a", 1, "1".into())).unwrap();
                 w.record(&JobResult::ok("b", 1, "2".into())).unwrap();
             }
             let state = read_journal(&path, 2).unwrap();
-            assert_eq!(state.completed.len(), 2, "policy {}", policy.label());
+            assert_eq!(state.results.len(), 2, "policy {}", policy.label());
             std::fs::remove_file(&path).ok();
         }
     }
@@ -679,9 +701,11 @@ mod tests {
                 ChaosPlan::new(ChaosConfig::interrupts(), seed),
             ));
             let label = PathBuf::from("mem:interrupts");
-            let mut w = RecordWriter::from_sink(&label, Box::new(sink), FsyncPolicy::Off);
-            for i in 0..20 {
-                w.write_line(&format!("{{\"line\":{i}}}")).unwrap();
+            let mut w =
+                RecordWriter::start(&label, Box::new(sink), &sweep_header(20), FsyncPolicy::Off)
+                    .unwrap();
+            for i in 0..20u64 {
+                w.write_record(&JsonValue::object().set("line", i)).unwrap();
             }
             // We cannot read the Vec back out through the Box<dyn>, but a
             // zero-error run is the property: no stall was ever terminal.
@@ -692,17 +716,18 @@ mod tests {
     fn dirty_writer_guards_torn_fragments_with_a_newline() {
         use std::sync::{Arc, Mutex};
 
-        // A sink whose first write call tears mid-record, then heals. The
-        // backing store is shared so the test can inspect what "landed on
-        // disk" after the writer is boxed away.
+        // A sink whose second write call (the first record after the
+        // header) tears mid-record, then heals. The backing store is
+        // shared so the test can inspect what "landed on disk" after the
+        // writer is boxed away.
         struct TearOnce {
             buf: Arc<Mutex<Vec<u8>>>,
-            torn: bool,
+            writes: usize,
         }
         impl std::io::Write for TearOnce {
             fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-                if !self.torn {
-                    self.torn = true;
+                self.writes += 1;
+                if self.writes == 2 {
                     let keep = buf.len() / 2;
                     self.buf.lock().unwrap().extend_from_slice(&buf[..keep]);
                     return Err(io::Error::new(io::ErrorKind::BrokenPipe, "torn"));
@@ -718,24 +743,44 @@ mod tests {
 
         let shared = Arc::new(Mutex::new(Vec::new()));
         let label = PathBuf::from("mem:tear");
-        let sink = TearOnce { buf: shared.clone(), torn: false };
-        let mut w = RecordWriter::from_sink(&label, Box::new(sink), FsyncPolicy::Off);
-        let first = record_line(&JobResult::ok("victim", 1, "lost".into()));
-        assert!(w.write_line(&first).is_err(), "first record tears");
-        let second = record_line(&JobResult::ok("survivor", 1, "kept".into()));
-        w.write_line(&second).unwrap();
+        let sink = TearOnce { buf: shared.clone(), writes: 0 };
+        let mut w = RecordWriter::start(&label, Box::new(sink), &sweep_header(2), FsyncPolicy::Off)
+            .unwrap();
+        let victim = JobResult::ok("victim", 1, "lost".into());
+        assert!(w.record(&victim).is_err(), "first record tears");
+        w.record(&JobResult::ok("survivor", 1, "kept".into())).unwrap();
 
         let bytes = shared.lock().unwrap().clone();
         let text = String::from_utf8(bytes).unwrap();
         let lines: Vec<&str> = text.lines().collect();
         // Torn fragment isolated on its own (unparseable) line; the
         // survivor record is intact and restorable.
-        assert_eq!(lines.len(), 2, "fragment + survivor: {text:?}");
-        assert!(parse_result_line(lines[0]).is_none(), "fragment must not parse");
+        assert_eq!(lines.len(), 3, "header + fragment + survivor: {text:?}");
+        assert!(parse_result_line(lines[1]).is_none(), "fragment must not parse");
         assert_eq!(
-            parse_result_line(lines[1]).unwrap().id,
+            parse_result_line(lines[2]).unwrap().id,
             "survivor",
             "guard newline isolated the fragment"
+        );
+    }
+
+    #[test]
+    fn start_over_a_failing_sink_fails() {
+        struct Dead;
+        impl std::io::Write for Dead {
+            fn write(&mut self, _buf: &[u8]) -> io::Result<usize> {
+                Err(io::Error::from(io::ErrorKind::StorageFull))
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        impl JournalSink for Dead {}
+        let dev_null = Path::new("/dev/null");
+        let started = RecordWriter::start(dev_null, Box::new(Dead), &header("x", 1), FsyncPolicy::Off);
+        assert!(
+            matches!(started, Err(HarnessError::Io { .. })),
+            "header write through a dead sink must fail the start"
         );
     }
 
@@ -743,7 +788,7 @@ mod tests {
     fn compaction_heals_a_damaged_journal_atomically() {
         let path = tmp("compact.jsonl");
         {
-            let mut w = JournalWriter::create(&path, 3).unwrap();
+            let mut w = create(&path, 3);
             w.record(&JobResult::ok("a", 1, "1".into())).unwrap();
             w.record(&JobResult::ok("a", 2, "1-again".into())).unwrap();
             w.record(&JobResult::ok("b", 1, "2".into())).unwrap();
@@ -764,9 +809,9 @@ mod tests {
         let after = read_journal(&path, 3).unwrap();
         assert_eq!(after.skipped, 0, "debris compacted away");
         assert_eq!(after.duplicates, 0);
-        assert_eq!(after.completed.len(), 2);
-        assert_eq!(after.completed["a"].output.as_deref(), Some("1-again"), "later record won");
-        assert_eq!(after.completed["b"].output.as_deref(), Some("2"));
+        assert_eq!(after.results.len(), 2);
+        assert_eq!(after.results["a"].output.as_deref(), Some("1-again"), "later record won");
+        assert_eq!(after.results["b"].output.as_deref(), Some("2"));
         std::fs::remove_file(&path).ok();
     }
 

@@ -19,7 +19,9 @@
 //!   killed sweep resumed via [`Harness::resume_from`] re-runs only
 //!   unfinished jobs and merges to bit-identical output (results carry
 //!   their payloads as strings, so restored and recomputed runs render
-//!   identically).
+//!   identically). The [`journal`] module's one writer
+//!   ([`RecordWriter`]), replay and compaction also carry `pim-serve`'s
+//!   write-ahead log.
 //! * **Determinism** — results are merged in input-job order, so
 //!   `workers = N` produces byte-identical merged output to a serial run
 //!   for any `N`.

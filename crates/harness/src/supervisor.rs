@@ -18,7 +18,7 @@ use pim_faults::Watchdog;
 use pim_trace::Tracer;
 
 use crate::job::{Job, JobResult};
-use crate::journal::{compact_journal, read_journal, FsyncPolicy, JournalWriter};
+use crate::journal::{compact_journal, read_journal, sweep_header, FsyncPolicy, RecordWriter};
 use crate::pool::{Event, Pool, Priority};
 use crate::report::SweepReport;
 
@@ -210,9 +210,9 @@ impl Harness {
                 // skipped the same way — a damaged journal re-runs work,
                 // it never aborts the resume.
                 journal_skipped = state.skipped
-                    + state.completed.keys().filter(|id| !seen.contains(*id)).count();
+                    + state.results.keys().filter(|id| !seen.contains(*id)).count();
                 for (idx, job) in jobs.iter().enumerate() {
-                    if let Some(r) = state.completed.get(&job.id) {
+                    if let Some(r) = state.results.get(&job.id) {
                         slots[idx] = Some(r.clone());
                         resumed += 1;
                     }
@@ -226,15 +226,15 @@ impl Harness {
                         eprintln!("pim-harness: journal compaction skipped: {e}");
                     }
                 }
-                Some(JournalWriter::append_opts(path, self.policy.fsync, self.journal_chaos)?)
+                Some(RecordWriter::append(path, self.policy.fsync, self.journal_chaos)?)
             }
             // Resuming from a journal that does not exist yet degrades to
             // a fresh journaled run, so the first and the resumed
             // invocation can share a command line.
             (Some(path), _) => {
-                match JournalWriter::create_opts(
+                match RecordWriter::create(
                     path,
-                    jobs.len(),
+                    &sweep_header(jobs.len()),
                     self.policy.fsync,
                     self.journal_chaos,
                 ) {
@@ -285,7 +285,7 @@ impl Harness {
         jobs: Vec<Job>,
         pending: usize,
         slots: &mut [Option<JobResult>],
-        writer: Option<&mut JournalWriter>,
+        writer: Option<&mut RecordWriter>,
     ) -> usize {
         let mut writer = JournalLane { writer, dropped: 0, warned: false };
         let policy =
@@ -315,7 +315,7 @@ impl Harness {
 /// aborting the sweep — the computation always completes; a dropped record
 /// simply re-runs on the next resume.
 struct JournalLane<'a> {
-    writer: Option<&'a mut JournalWriter>,
+    writer: Option<&'a mut RecordWriter>,
     dropped: usize,
     warned: bool,
 }

@@ -12,8 +12,7 @@
 //!    dropped jobs and merges to the same byte-identical results.
 //!
 //! Seed count defaults to 64 per family; `PIM_CHAOS_SEEDS` overrides it
-//! (the CI smoke uses a small count, `scripts/chaos_smoke.sh --full`
-//! forces the full matrix).
+//! (`scripts/check.sh` and CI run 8).
 
 use std::path::PathBuf;
 use std::time::Duration;

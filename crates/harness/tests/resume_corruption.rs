@@ -195,3 +195,37 @@ fn resume_from_a_journal_that_is_all_damage_reruns_everything() {
     }
     std::fs::remove_file(&path).ok();
 }
+
+#[test]
+fn foreign_and_future_headers_are_a_typed_mismatch() {
+    // A server journal and a harness journal of another version must be
+    // refused whole, not read as a journal whose every line is damage.
+    for (name, header) in [
+        ("serve", "{\"journal\":\"pim-serve\",\"version\":1}\n"),
+        ("v2", "{\"journal\":\"pim-harness\",\"version\":2,\"jobs\":6}\n"),
+    ] {
+        let path = temp_path(&format!("foreign-{name}.jsonl"));
+        let mut text = header.to_string();
+        text.push_str(&record("j0", 1));
+        text.push('\n');
+        std::fs::write(&path, &text).unwrap();
+
+        let read = pim_harness::journal::read_journal(&path, IDS.len());
+        assert!(
+            matches!(read, Err(pim_harness::HarnessError::JournalMismatch { .. })),
+            "{name}: {read:?}"
+        );
+        let runs = counters();
+        let resumed = Harness::new(HarnessPolicy::default()).resume_from(&path).run(jobs(&runs));
+        assert!(
+            matches!(resumed, Err(pim_harness::HarnessError::JournalMismatch { .. })),
+            "{name}: {:?}",
+            resumed.err()
+        );
+        for id in IDS {
+            assert_eq!(runs[id].load(Ordering::SeqCst), 0, "{name}: {id} ran");
+        }
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), text, "{name}: journal touched");
+        std::fs::remove_file(&path).ok();
+    }
+}

@@ -74,17 +74,6 @@ pub struct CacheStats {
     pub writebacks: u64,
 }
 
-impl CacheStats {
-    /// Miss ratio in `[0, 1]`; zero when no accesses have occurred.
-    pub fn miss_ratio(&self) -> f64 {
-        if self.accesses == 0 {
-            0.0
-        } else {
-            self.misses as f64 / self.accesses as f64
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy, Default)]
 struct Way {
     tag: u64,

@@ -179,12 +179,6 @@ impl Channel {
     pub fn busy_until(&self) -> Ps {
         self.busy_until
     }
-
-    /// Forget queueing state but keep traffic counters.
-    pub fn reset_clock(&mut self) {
-        self.busy_until = 0;
-        self.carry = 0.0;
-    }
 }
 
 /// Validate a probability, naming it in any error.

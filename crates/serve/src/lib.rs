@@ -27,10 +27,12 @@
 //!   taxonomy (retry with capped backoff, quarantine after timeout
 //!   strikes, fail fast on panics) is `pim-harness`'s.
 //! * **Crash recovery** ([`recovery`]) — submissions are journaled
-//!   write-ahead and results in the harness's exact record format; a
-//!   `SIGKILL`ed server restarts, replays its journal tolerating every
-//!   corruption class the harness reader tolerates, restores finished
-//!   jobs bit-identically, and re-runs only the unfinished ones.
+//!   write-ahead and results as the harness's result records, through
+//!   the harness's one journal writer, replay and compaction
+//!   ([`pim_harness::journal`]); a `SIGKILL`ed server restarts, replays
+//!   its journal tolerating every corruption class the harness reader
+//!   tolerates, restores finished jobs bit-identically, and re-runs only
+//!   the unfinished ones.
 //! * **Graceful drain** ([`server`], [`signal`]) — SIGTERM/ctrl-c (or
 //!   the protocol `shutdown` op) stops admission, finishes everything in
 //!   flight, and exits with zero journal loss.
@@ -57,8 +59,6 @@ pub use protocol::{Reject, RejectKind, Request, Response, ShutdownMode, Stats};
 pub use quota::QuotaPolicy;
 pub use scheduler::{Resolver, Scheduler, ServePolicy, SubmitOutcome, WaitOutcome};
 pub use server::Server;
-
-use std::path::Path;
 
 /// Errors from the service machinery itself (never from jobs — those are
 /// typed [`pim_harness::JobResult`]s).
@@ -105,20 +105,25 @@ pub enum ServeError {
 }
 
 impl ServeError {
-    pub(crate) fn io(path: &Path, e: &std::io::Error) -> Self {
-        Self::Io { path: path.display().to_string(), what: e.to_string() }
-    }
-
-    pub(crate) fn journal(path: &Path, what: &str) -> Self {
-        Self::Journal { path: path.display().to_string(), what: what.to_string() }
-    }
-
     pub(crate) fn net(e: &std::io::Error) -> Self {
         Self::Net { what: e.to_string() }
     }
 
     pub(crate) fn protocol(what: impl Into<String>) -> Self {
         Self::Protocol { what: what.into() }
+    }
+}
+
+/// A journal error from the shared journal module: I/O keeps its path
+/// and text, and a header mismatch becomes [`ServeError::Journal`].
+impl From<pim_harness::HarnessError> for ServeError {
+    fn from(e: pim_harness::HarnessError) -> Self {
+        use pim_harness::HarnessError;
+        match e {
+            HarnessError::Io { path, what } => Self::Io { path, what },
+            HarnessError::JournalMismatch { path, what } => Self::Journal { path, what },
+            HarnessError::DuplicateJob { .. } => Self::Internal { what: e.to_string() },
+        }
     }
 }
 

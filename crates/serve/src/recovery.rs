@@ -1,7 +1,9 @@
 //! The server journal and crash recovery.
 //!
-//! `pim-serve` writes a single append-only JSONL journal with two record
-//! kinds interleaved in arrival order:
+//! `pim-serve` writes one append-only JSONL journal through the
+//! harness's journal module ([`pim_harness::journal`]): the same writer,
+//! replay and compaction as harness `--resume`, under its own header.
+//! Two record kinds interleave in arrival order:
 //!
 //! ```text
 //! {"journal":"pim-serve","version":1}
@@ -9,30 +11,25 @@
 //! {"job":"fig18","status":"ok","attempts":1,"output":"..."}
 //! ```
 //!
-//! * a **submission** line is written (and flushed) *before* the job is
+//! * a **submission** record is written (and flushed) *before* the job is
 //!   enqueued — write-ahead, so an admitted job can never be lost;
-//! * a **result** line is written when the job reaches a terminal state,
-//!   in exactly the harness journal format
-//!   ([`pim_harness::journal::record_line`]).
+//! * a **result** record is written when the job reaches a terminal
+//!   state, in exactly the harness journal format
+//!   ([`RecordWriter::record`]).
 //!
-//! Every line is a [`pim_trace::JsonValue`] object, rendered with
-//! [`JsonValue::render`]; replay parses each line once with
-//! [`JsonValue::parse`] and reads it as a submission or a result.
-//!
-//! On restart the server replays the journal: jobs with an intact result
-//! are restored verbatim (bit-identical payloads — results carry their
-//! output as strings), jobs with only a submission are re-enqueued, and
-//! corrupt lines of any kind are skipped and counted, inheriting the
-//! harness reader's tolerance for truncated tails, interleaved partial
-//! writes, duplicates, and invalid UTF-8. Recovery is why a `SIGKILL`ed
-//! server resumes instead of re-running the world.
+//! On restart the server replays the journal ([`recover`]): jobs with an
+//! intact result are restored verbatim (bit-identical payloads — results
+//! carry their output as strings), jobs with only a submission are
+//! re-enqueued, and corrupt lines of any kind are skipped and counted,
+//! with the harness reader's tolerance for truncated tails, interleaved
+//! partial writes, duplicates, and invalid UTF-8. Recovery is why a
+//! `SIGKILL`ed server resumes instead of re-running the world.
 
-use std::collections::BTreeMap;
-use std::fs::File;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 
-use pim_harness::journal::{record_line, replace_atomically, result_from_json};
-use pim_harness::{FsyncPolicy, JobResult, JournalSink, Priority, RecordWriter};
+use pim_harness::journal::{self, record_json, replay, rewrite, Replay};
+use pim_harness::{FsyncPolicy, JobResult, Priority, RecordWriter};
 use pim_trace::JsonValue;
 
 use crate::ServeError;
@@ -55,6 +52,48 @@ pub struct Submission {
     pub priority: Priority,
 }
 
+impl Submission {
+    /// The write-ahead submission record. `priority` is written only when
+    /// non-default, keeping pre-priority journals byte-identical and
+    /// readable by both directions.
+    pub fn to_json(&self) -> JsonValue {
+        JsonValue::object()
+            .set("kind", "sub")
+            .set("id", self.id.as_str())
+            .set("client", self.client.as_str())
+            .set("spec", self.spec.as_str())
+            .set_some(
+                "priority",
+                (self.priority != Priority::Normal).then(|| self.priority.label()),
+            )
+    }
+
+    fn from_json(record: &JsonValue) -> Option<Self> {
+        let text = |key: &str| record.get(key).and_then(JsonValue::as_str);
+        if text("kind")? != "sub" {
+            return None;
+        }
+        Some(Self {
+            id: text("id")?.to_string(),
+            client: text("client")?.to_string(),
+            spec: text("spec")?.to_string(),
+            // Absent = pre-priority record = Normal; an unparseable label
+            // makes the whole line corrupt (skipped and counted) rather
+            // than silently demoting the job.
+            priority: match text("priority") {
+                None => Priority::Normal,
+                Some(p) => Priority::from_label(p)?,
+            },
+        })
+    }
+
+    /// True for a submission replay synthesized for an orphaned result;
+    /// in the journal its marker is the *absence* of a submission line.
+    fn is_synthesized(&self) -> bool {
+        self.client.is_empty() && self.spec.is_empty()
+    }
+}
+
 /// Everything replayed from a server journal.
 #[derive(Debug, Default)]
 pub struct RecoveredState {
@@ -75,136 +114,47 @@ impl RecoveredState {
     pub fn unfinished(&self) -> impl Iterator<Item = &Submission> {
         self.submissions.iter().filter(|s| !self.results.contains_key(&s.id))
     }
+
+    /// The compacted journal body: each surviving submission (synthesized
+    /// orphans excepted) followed by its result.
+    fn records(&self) -> impl Iterator<Item = JsonValue> + '_ {
+        self.submissions.iter().flat_map(|sub| {
+            let result = self.results.get(&sub.id).map(|r| record_json(JsonValue::object(), r));
+            (!sub.is_synthesized()).then(|| sub.to_json()).into_iter().chain(result)
+        })
+    }
 }
 
 /// The header line every pim-serve journal starts with.
-fn header_line() -> String {
-    JsonValue::object().set("journal", MAGIC).set("version", VERSION).render()
+pub fn header() -> JsonValue {
+    journal::header(MAGIC, VERSION)
 }
 
-/// One write-ahead submission record. `priority` is written only when
-/// non-default, keeping pre-priority journals byte-identical and
-/// readable by both directions.
-fn submission_line(sub: &Submission) -> String {
-    JsonValue::object()
-        .set("kind", "sub")
-        .set("id", sub.id.as_str())
-        .set("client", sub.client.as_str())
-        .set("spec", sub.spec.as_str())
-        .set_some("priority", (sub.priority != Priority::Normal).then(|| sub.priority.label()))
-        .render()
-}
-
-/// Append-only server journal writer on the harness's hardened
-/// [`RecordWriter`]: transient write faults (`Interrupted`,
-/// `WouldBlock`, zero-length writes) are retried to completion, a failed
-/// record leaves the writer *dirty* so the next line is guarded by a
-/// newline (torn fragments isolate on their own unparseable line), and
-/// the [`FsyncPolicy`] decides how much durability each record buys.
-pub struct ServeJournal {
-    out: RecordWriter,
-}
-
-impl ServeJournal {
-    /// Start a fresh journal (truncates) and write the header.
-    pub fn create(path: &Path) -> Result<Self, ServeError> {
-        Self::create_opts(path, FsyncPolicy::default())
+/// Open the server journal at `path` for appending, replaying it first.
+/// A missing file starts a fresh journal with an empty state, so first
+/// start and restart share a command line. If the replay found damage
+/// (skipped lines or duplicates), the journal is first compacted through
+/// [`rewrite`], so debris does not accumulate across restarts.
+/// Compaction failure is non-fatal: the damaged journal is still
+/// readable, so the server keeps appending to it.
+pub fn recover(
+    path: &Path,
+    fsync: FsyncPolicy,
+) -> Result<(RecordWriter, RecoveredState), ServeError> {
+    if !path.exists() {
+        return Ok((RecordWriter::create(path, &header(), fsync, None)?, RecoveredState::default()));
     }
-
-    /// [`ServeJournal::create`] with an explicit durability policy.
-    pub fn create_opts(path: &Path, fsync: FsyncPolicy) -> Result<Self, ServeError> {
-        let out = RecordWriter::create(path, fsync).map_err(|e| ServeError::io(path, &e))?;
-        let mut w = Self { out };
-        w.line(&header_line())?;
-        Ok(w)
-    }
-
-    /// Build a journal over an arbitrary sink (tests inject
-    /// chaos-wrapped files here). The header is written through the
-    /// sink, so a faulting sink can fail journal creation the same way a
-    /// faulting disk would.
-    pub fn from_sink(
-        path: &Path,
-        sink: Box<dyn JournalSink>,
-        fsync: FsyncPolicy,
-    ) -> Result<Self, ServeError> {
-        let mut w = Self { out: RecordWriter::from_sink(path, sink, fsync) };
-        w.line(&header_line())?;
-        Ok(w)
-    }
-
-    /// Open an existing journal and replay it, then keep appending. A
-    /// missing file degrades to [`ServeJournal::create`] with an empty
-    /// state, so first start and restart share a command line.
-    pub fn recover(path: &Path) -> Result<(Self, RecoveredState), ServeError> {
-        Self::recover_opts(path, FsyncPolicy::default())
-    }
-
-    /// [`ServeJournal::recover`] with an explicit durability policy. If
-    /// the replay found damage (skipped lines or duplicates), the journal
-    /// is first compacted — rewritten atomically (tmp + rename) from the
-    /// recovered state — so debris does not accumulate across restarts.
-    /// Compaction failure is non-fatal: the damaged journal is still
-    /// readable, so the server keeps appending to it.
-    pub fn recover_opts(
-        path: &Path,
-        fsync: FsyncPolicy,
-    ) -> Result<(Self, RecoveredState), ServeError> {
-        if !path.exists() {
-            return Ok((Self::create_opts(path, fsync)?, RecoveredState::default()));
-        }
-        let state = read_serve_journal(path)?;
-        if state.skipped > 0 || state.duplicates > 0 {
-            if let Err(e) = compact_serve_journal(path, &state) {
-                eprintln!("pim-serve: journal compaction skipped: {e}");
-            }
-        }
-        let out = RecordWriter::append(path, fsync).map_err(|e| ServeError::io(path, &e))?;
-        Ok((Self { out }, state))
-    }
-
-    /// Write-ahead record of an admitted submission.
-    pub fn record_submission(&mut self, sub: &Submission) -> Result<(), ServeError> {
-        self.line(&submission_line(sub))
-    }
-
-    /// Record a terminal result (harness journal format).
-    pub fn record_result(&mut self, r: &JobResult) -> Result<(), ServeError> {
-        self.line(&record_line(r))
-    }
-
-    fn line(&mut self, s: &str) -> Result<(), ServeError> {
-        let path = self.out.path().to_path_buf();
-        self.out.write_line(s).map_err(|e| ServeError::io(&path, &e))
-    }
-}
-
-/// Rewrite a damaged journal from its recovered state: header, then each
-/// surviving submission (synthesized orphans excepted — their marker is
-/// the *absence* of a submission line) followed by its result. The new
-/// file replaces the old one atomically, so a crash mid-compaction leaves
-/// either the old journal or the new one, never a mix.
-fn compact_serve_journal(path: &Path, state: &RecoveredState) -> std::io::Result<()> {
-    let mut text = header_line();
-    text.push('\n');
-    for sub in &state.submissions {
-        let synthesized = sub.client.is_empty() && sub.spec.is_empty();
-        if !synthesized {
-            text.push_str(&submission_line(sub));
-            text.push('\n');
-        }
-        if let Some(r) = state.results.get(&sub.id) {
-            text.push_str(&record_line(r));
-            text.push('\n');
+    let state = read_serve_journal(path)?;
+    if state.skipped > 0 || state.duplicates > 0 {
+        if let Err((_, e)) = rewrite(path, &header(), state.records()) {
+            eprintln!("pim-serve: journal compaction skipped: {e}");
         }
     }
-    replace_atomically(path, text.as_bytes(), |tmp| {
-        Ok(Box::new(File::create(tmp)?))
-    })
-    .map_err(|(_, e)| e)
+    Ok((RecordWriter::append(path, fsync, None)?, state))
 }
 
-/// Replay a server journal.
+/// Replay a server journal: [`replay`] under the pim-serve header, with
+/// every non-result record read as a submission.
 ///
 /// # Errors
 ///
@@ -214,82 +164,28 @@ fn compact_serve_journal(path: &Path, state: &RecoveredState) -> std::io::Result
 /// destroyed is still restored (the orphaned result is re-attached to a
 /// synthesized submission so clients can still `wait` for it).
 pub fn read_serve_journal(path: &Path) -> Result<RecoveredState, ServeError> {
-    let bytes = std::fs::read(path).map_err(|e| ServeError::io(path, &e))?;
-    // Lossy decode: invalid UTF-8 garbles only its own line.
-    let text = String::from_utf8_lossy(&bytes);
-    let mut lines = text.lines();
-    let header = lines.next().and_then(|line| JsonValue::parse(line).ok()).ok_or_else(|| {
-        ServeError::journal(path, "missing or unreadable header line")
-    })?;
-    match (
-        header.get("journal").and_then(JsonValue::as_str),
-        header.get("version").and_then(JsonValue::as_u64),
-    ) {
-        (Some(MAGIC), Some(VERSION)) => {}
-        _ => return Err(ServeError::journal(path, "header is not a pim-serve v1 journal")),
+    let Replay { results, records, mut skipped, mut duplicates, .. } =
+        replay(path, MAGIC, VERSION)?;
+    let mut submissions = Vec::new();
+    let mut seen = BTreeSet::new();
+    for sub in records.iter().map(Submission::from_json) {
+        match sub {
+            Some(sub) if seen.insert(sub.id.clone()) => submissions.push(sub),
+            Some(_) => duplicates += 1,
+            None => skipped += 1,
+        }
     }
-
-    let mut state = RecoveredState::default();
-    let mut seen_subs: BTreeMap<String, usize> = BTreeMap::new();
-    for line in lines {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let record = JsonValue::parse(line).ok();
-        if let Some(sub) = record.as_ref().and_then(submission_from_json) {
-            if seen_subs.contains_key(&sub.id) {
-                state.duplicates += 1;
-            } else {
-                seen_subs.insert(sub.id.clone(), state.submissions.len());
-                state.submissions.push(sub);
-            }
-            continue;
-        }
-        if let Some(result) = record.as_ref().and_then(result_from_json) {
-            if state.results.insert(result.id.clone(), result).is_some() {
-                state.duplicates += 1;
-            }
-            continue;
-        }
-        state.skipped += 1;
-    }
-
     // Orphaned results (their submission line was destroyed): synthesize
     // a submission so the job still exists, terminal, waitable.
-    let orphans: Vec<String> = state
-        .results
-        .keys()
-        .filter(|id| !seen_subs.contains_key(*id))
-        .cloned()
-        .collect();
-    for id in orphans {
-        state.submissions.push(Submission {
-            id,
+    for id in results.keys().filter(|id| !seen.contains(*id)) {
+        submissions.push(Submission {
+            id: id.clone(),
             client: String::new(),
             spec: String::new(),
             priority: Priority::Normal,
         });
     }
-    Ok(state)
-}
-
-fn submission_from_json(record: &JsonValue) -> Option<Submission> {
-    let text = |key: &str| record.get(key).and_then(JsonValue::as_str);
-    if text("kind")? != "sub" {
-        return None;
-    }
-    Some(Submission {
-        id: text("id")?.to_string(),
-        client: text("client")?.to_string(),
-        spec: text("spec")?.to_string(),
-        // Absent = pre-priority record = Normal; an unparseable label
-        // makes the whole line corrupt (skipped and counted) rather
-        // than silently demoting the job.
-        priority: match text("priority") {
-            None => Priority::Normal,
-            Some(p) => Priority::from_label(p)?,
-        },
-    })
+    Ok(RecoveredState { submissions, results, skipped, duplicates })
 }
 
 #[cfg(test)]
@@ -308,6 +204,11 @@ mod tests {
         p
     }
 
+    /// A fresh server journal at `path`.
+    fn create(path: &Path) -> RecordWriter {
+        RecordWriter::create(path, &header(), FsyncPolicy::Off, None).unwrap()
+    }
+
     fn sub(id: &str) -> Submission {
         Submission {
             id: id.into(),
@@ -321,9 +222,10 @@ mod tests {
     fn priority_survives_the_journal_and_defaults_to_normal() {
         let path = tmp("priority.jsonl");
         {
-            let mut j = ServeJournal::create(&path).unwrap();
-            j.record_submission(&Submission { priority: Priority::High, ..sub("hot") }).unwrap();
-            j.record_submission(&sub("cold")).unwrap();
+            let mut j = create(&path);
+            let hot = Submission { priority: Priority::High, ..sub("hot") };
+            j.write_record(&hot.to_json()).unwrap();
+            j.write_record(&sub("cold").to_json()).unwrap();
         }
         // A pre-priority record (no field at all) reads back as Normal.
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();
@@ -348,13 +250,13 @@ mod tests {
     fn write_ahead_then_results_replay_in_order() {
         let path = tmp("replay.jsonl");
         {
-            let mut j = ServeJournal::create(&path).unwrap();
-            j.record_submission(&sub("a")).unwrap();
-            j.record_submission(&sub("b")).unwrap();
-            j.record_result(&JobResult::ok("a", 1, "out-a".into())).unwrap();
-            j.record_submission(&sub("c")).unwrap();
+            let mut j = create(&path);
+            j.write_record(&sub("a").to_json()).unwrap();
+            j.write_record(&sub("b").to_json()).unwrap();
+            j.record(&JobResult::ok("a", 1, "out-a".into())).unwrap();
+            j.write_record(&sub("c").to_json()).unwrap();
         }
-        let (_, state) = ServeJournal::recover(&path).unwrap();
+        let (_, state) = recover(&path, FsyncPolicy::Off).unwrap();
         let ids: Vec<&str> = state.submissions.iter().map(|s| s.id.as_str()).collect();
         assert_eq!(ids, ["a", "b", "c"], "submission order is arrival order");
         assert_eq!(state.results.len(), 1);
@@ -369,11 +271,11 @@ mod tests {
     fn missing_file_degrades_to_fresh_journal() {
         let path = tmp("fresh.jsonl");
         std::fs::remove_file(&path).ok();
-        let (mut j, state) = ServeJournal::recover(&path).unwrap();
+        let (mut j, state) = recover(&path, FsyncPolicy::Off).unwrap();
         assert!(state.submissions.is_empty());
-        j.record_submission(&sub("x")).unwrap();
+        j.write_record(&sub("x").to_json()).unwrap();
         drop(j);
-        let (_, state) = ServeJournal::recover(&path).unwrap();
+        let (_, state) = recover(&path, FsyncPolicy::Off).unwrap();
         assert_eq!(state.submissions.len(), 1);
         std::fs::remove_file(&path).ok();
     }
@@ -382,10 +284,10 @@ mod tests {
     fn corruption_matrix_is_skipped_and_counted() {
         let path = tmp("corrupt.jsonl");
         {
-            let mut j = ServeJournal::create(&path).unwrap();
-            j.record_submission(&sub("a")).unwrap();
-            j.record_result(&JobResult::ok("a", 1, "out-a".into())).unwrap();
-            j.record_submission(&sub("b")).unwrap();
+            let mut j = create(&path);
+            j.write_record(&sub("a").to_json()).unwrap();
+            j.record(&JobResult::ok("a", 1, "out-a".into())).unwrap();
+            j.write_record(&sub("b").to_json()).unwrap();
         }
         // Torn-write debris: a truncated result line, raw NULs, invalid
         // UTF-8, a duplicated submission, and a duplicated result.
@@ -412,8 +314,8 @@ mod tests {
     fn orphaned_result_synthesizes_its_submission() {
         let path = tmp("orphan.jsonl");
         {
-            let mut j = ServeJournal::create(&path).unwrap();
-            j.record_result(&JobResult::failed(
+            let mut j = create(&path);
+            j.record(&JobResult::failed(
                 "ghost",
                 JobStatus::Failed,
                 1,
@@ -433,10 +335,10 @@ mod tests {
     fn recover_compacts_a_damaged_journal_atomically() {
         let path = tmp("compact.jsonl");
         {
-            let mut j = ServeJournal::create(&path).unwrap();
-            j.record_submission(&sub("a")).unwrap();
-            j.record_result(&JobResult::ok("a", 1, "out-a".into())).unwrap();
-            j.record_submission(&sub("b")).unwrap();
+            let mut j = create(&path);
+            j.write_record(&sub("a").to_json()).unwrap();
+            j.record(&JobResult::ok("a", 1, "out-a".into())).unwrap();
+            j.write_record(&sub("b").to_json()).unwrap();
         }
         // Damage: torn debris, a duplicate submission, and an orphaned
         // result whose submission line never made it.
@@ -448,13 +350,13 @@ mod tests {
             .unwrap();
         drop(f);
 
-        let (_, state) = ServeJournal::recover(&path).unwrap();
+        let (_, state) = recover(&path, FsyncPolicy::Off).unwrap();
         assert_eq!(state.skipped, 1, "recover still reports what it healed");
         assert_eq!(state.duplicates, 1);
 
         // The journal on disk was compacted: a second recover is clean,
         // with identical surviving state and no leftover tmp file.
-        let (_, clean) = ServeJournal::recover(&path).unwrap();
+        let (_, clean) = recover(&path, FsyncPolicy::Off).unwrap();
         assert_eq!((clean.skipped, clean.duplicates), (0, 0));
         let ids: Vec<&str> = clean.submissions.iter().map(|s| s.id.as_str()).collect();
         assert_eq!(ids, ["a", "b", "ghost"]);
@@ -469,28 +371,19 @@ mod tests {
     }
 
     #[test]
-    fn journal_over_a_failing_sink_reports_create_failure() {
-        struct Dead;
-        impl std::io::Write for Dead {
-            fn write(&mut self, _buf: &[u8]) -> std::io::Result<usize> {
-                Err(std::io::Error::from(std::io::ErrorKind::StorageFull))
-            }
-            fn flush(&mut self) -> std::io::Result<()> {
-                Ok(())
-            }
-        }
-        impl pim_harness::JournalSink for Dead {}
-        let err = ServeJournal::from_sink(Path::new("/dev/null"), Box::new(Dead), FsyncPolicy::Off);
-        assert!(err.is_err(), "header write through a dead sink must fail creation");
-    }
-
-    #[test]
     fn foreign_journal_is_rejected() {
         let path = tmp("foreign.jsonl");
-        std::fs::write(&path, "{\"journal\":\"pim-harness\",\"version\":1,\"jobs\":3}\n").unwrap();
-        assert!(ServeJournal::recover(&path).is_err());
-        std::fs::write(&path, "garbage\n").unwrap();
-        assert!(ServeJournal::recover(&path).is_err());
+        for header in [
+            "{\"journal\":\"pim-harness\",\"version\":1,\"jobs\":3}\n",
+            "{\"journal\":\"pim-serve\",\"version\":2}\n",
+            "garbage\n",
+        ] {
+            std::fs::write(&path, header).unwrap();
+            assert!(
+                matches!(recover(&path, FsyncPolicy::Off), Err(ServeError::Journal { .. })),
+                "{header:?}"
+            );
+        }
         std::fs::remove_file(&path).ok();
     }
 }

@@ -25,12 +25,15 @@ use std::time::{Duration, Instant};
 
 use pim_faults::DmpimError;
 use pim_harness::pool::{Event, Pool, Submitter};
-use pim_harness::{FsyncPolicy, HarnessPolicy, Job, JobCtx, JobResult, JobStatus, Priority};
+use pim_harness::{
+    FsyncPolicy, HarnessError, HarnessPolicy, Job, JobCtx, JobResult, JobStatus, Priority,
+    RecordWriter,
+};
 use pim_trace::Tracer;
 
 use crate::protocol::{Reject, RejectKind, Stats};
 use crate::quota::{ClientLedger, QuotaPolicy};
-use crate::recovery::{RecoveredState, ServeJournal, Submission};
+use crate::recovery::{self, RecoveredState, Submission};
 use crate::ServeError;
 
 /// Resolves a job spec (e.g. `experiment:fig18`) to its payload. The
@@ -104,7 +107,7 @@ struct State {
     entries: Vec<Entry>,
     index: HashMap<String, usize>,
     ledger: ClientLedger,
-    journal: Option<ServeJournal>,
+    journal: Option<RecordWriter>,
     draining: bool,
     /// Supervisor exited (drain complete or hard stop).
     stopped: bool,
@@ -160,7 +163,7 @@ impl Scheduler {
     ) -> Result<Self, ServeError> {
         let (journal, recovered) = match journal_path {
             Some(path) => {
-                let (j, state) = ServeJournal::recover_opts(path, policy.harness.fsync)?;
+                let (j, state) = recovery::recover(path, policy.harness.fsync)?;
                 (Some(j), state)
             }
             None => (None, RecoveredState::default()),
@@ -169,12 +172,12 @@ impl Scheduler {
     }
 
     /// [`Scheduler::start`] over an already-open journal (tests inject
-    /// chaos-wrapped sinks through [`ServeJournal::from_sink`] here).
+    /// chaos-wrapped files through [`RecordWriter::create`] here).
     pub fn start_with_journal(
         policy: ServePolicy,
         resolver: Resolver,
         tracer: Tracer,
-        journal: Option<ServeJournal>,
+        journal: Option<RecordWriter>,
         recovered: RecoveredState,
     ) -> Result<Self, ServeError> {
         // Shape-stable gauges so the first /metrics scrape already shows
@@ -271,13 +274,13 @@ impl Scheduler {
             priority,
         };
         if let Some(j) = st.journal.as_mut() {
-            if let Err(e) = j.record_submission(&sub) {
+            if let Err(e) = j.write_record(&sub.to_json()) {
                 // Write-ahead failed (torn write, disk full, …): admit
                 // anyway and degrade. Refusing work because the *journal*
                 // is sick would turn a durability problem into an
                 // availability outage; the cost is that this job will not
                 // recover if the server crashes before finishing it.
-                core.note_journal_drop("submission", &sub.id, &e);
+                core.note_journal_drop("submission", &sub.id, e);
             }
         }
         let job = core.job(&sub.id, &sub.spec);
@@ -470,10 +473,10 @@ impl Core {
         let st = &mut *guard;
         let Some(e) = st.entries.get_mut(slot) else { return };
         if let Some(j) = st.journal.as_mut() {
-            if let Err(err) = j.record_result(&result) {
+            if let Err(err) = j.record(&result) {
                 // The result is still served from memory; only the recovery
                 // record for a *future* crash is degraded.
-                self.note_journal_drop("result", &result.id, &err);
+                self.note_journal_drop("result", &result.id, err);
             }
         }
         // Count the job before the lock drops, so no `stats` snapshot and no
@@ -495,14 +498,15 @@ impl Core {
     /// it, latch the sticky degraded flag, and log the first occurrence
     /// (later drops only move the counters — a sick disk would otherwise
     /// flood the log at job rate).
-    fn note_journal_drop(&self, what: &str, id: &str, err: &ServeError) {
+    fn note_journal_drop(&self, what: &str, id: &str, err: HarnessError) {
         self.counters.journal_dropped.fetch_add(1, Ordering::Relaxed);
         self.counters.journal_degraded.store(true, Ordering::Relaxed);
         self.tracer.count("serve.journal_dropped", 1);
         if !self.counters.journal_warned.swap(true, Ordering::Relaxed) {
             eprintln!(
                 "pim-serve: journal degraded ({what} record for {id:?} dropped, \
-                 service continues): {err}"
+                 service continues): {}",
+                ServeError::from(err)
             );
         }
     }
@@ -956,7 +960,7 @@ mod tests {
 
     #[test]
     fn journal_degradation_keeps_serving_and_is_reported() {
-        use pim_chaos::{ChaosConfig, ChaosFile, ChaosPlan};
+        use pim_chaos::ChaosConfig;
 
         let mut path = std::env::temp_dir();
         path.push(format!("pim-serve-sched-degraded-{}.jsonl", std::process::id()));
@@ -965,9 +969,13 @@ mod tests {
         // Disk-full onset right after the header: every record write
         // fails, but the service must keep computing and serving results
         // from memory, reporting the degradation in stats.
-        let file = ChaosFile::create(&path, ChaosPlan::new(ChaosConfig::disk_full(40), 7)).unwrap();
-        let journal =
-            ServeJournal::from_sink(&path, Box::new(file), FsyncPolicy::Off).unwrap();
+        let journal = RecordWriter::create(
+            &path,
+            &recovery::header(),
+            FsyncPolicy::Off,
+            Some((ChaosConfig::disk_full(40), 7)),
+        )
+        .unwrap();
         let s = Scheduler::start_with_journal(
             quick_policy(),
             echo_resolver(),

@@ -14,19 +14,18 @@
 //! fault schedules.
 //!
 //! Seed count defaults to 64 per family; `PIM_CHAOS_SEEDS` overrides it
-//! (CI smoke uses a small count, `scripts/chaos_smoke.sh --full` forces
-//! the full matrix).
+//! (`scripts/check.sh` and CI run 8).
 
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
-use pim_chaos::{ChaosConfig, ChaosFile, ChaosPlan};
+use pim_chaos::ChaosConfig;
 use pim_faults::DmpimError;
 use pim_harness::journal::record_line;
-use pim_harness::{FsyncPolicy, HarnessPolicy};
-use pim_serve::recovery::{RecoveredState, ServeJournal};
+use pim_harness::{FsyncPolicy, HarnessPolicy, RecordWriter};
+use pim_serve::recovery::{self, RecoveredState};
 use pim_serve::{Client, ClientConfig, Resolver, Scheduler, ServeError, ServePolicy, Server};
 use pim_trace::Tracer;
 
@@ -157,10 +156,13 @@ fn disk_full_journal_degrades_gracefully_and_survivors_replay_bit_identically() 
         // Journal budget: header always fits, onset lands somewhere in
         // the record stream (varies with seed).
         let budget = 60 + (seed % 7) * 45;
-        let file =
-            ChaosFile::create(&path, ChaosPlan::new(ChaosConfig::disk_full(budget), seed))
-                .unwrap();
-        let journal = ServeJournal::from_sink(&path, Box::new(file), FsyncPolicy::Off).unwrap();
+        let journal = RecordWriter::create(
+            &path,
+            &recovery::header(),
+            FsyncPolicy::Off,
+            Some((ChaosConfig::disk_full(budget), seed)),
+        )
+        .unwrap();
         let s = Scheduler::start_with_journal(
             quick_policy(),
             square_resolver(),
@@ -197,7 +199,7 @@ fn disk_full_journal_degrades_gracefully_and_survivors_replay_bit_identically() 
 
         // Whatever survived on disk replays, and every surviving result
         // is bit-identical to the one served from memory.
-        let (_, state) = ServeJournal::recover(&path).unwrap();
+        let (_, state) = recovery::recover(&path, FsyncPolicy::Off).unwrap();
         for (id, restored) in &state.results {
             let n: usize = id.trim_start_matches('j').parse().unwrap();
             assert_eq!(

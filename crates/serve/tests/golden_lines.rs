@@ -1,17 +1,18 @@
 //! Golden bytes for every line the workspace writes to a journal or the
 //! wire: the harness journal (header and result records), the server
-//! journal (header, submissions and results) and each request and
-//! response variant. The round-trip tests elsewhere prove that a line
+//! journal (header, submissions and results), what each journal's
+//! compaction leaves of a damaged file, and each request and response
+//! variant. The round-trip tests elsewhere prove that a line
 //! parses back; these pin what the line *is*, so a journal written by an
 //! older binary, an older client and a newer server all keep speaking
 //! the same bytes.
 
 use std::path::PathBuf;
 
-use pim_harness::journal::{parse_result_line, record_line, JournalWriter};
-use pim_harness::{JobFailure, JobResult, JobStatus, Priority};
+use pim_harness::journal::{parse_result_line, record_line, sweep_header};
+use pim_harness::{FsyncPolicy, JobFailure, JobResult, JobStatus, Priority, RecordWriter};
 use pim_serve::protocol::{PROTOCOL_VERSION, SERVER_NAME};
-use pim_serve::recovery::{ServeJournal, Submission};
+use pim_serve::recovery::{self, Submission};
 use pim_serve::{Reject, RejectKind, Request, Response, ShutdownMode, Stats};
 
 fn tmp(name: &str) -> PathBuf {
@@ -154,7 +155,7 @@ fn harness_journal_bytes_are_pinned() {
         quarantined(),
     ];
     {
-        let mut w = JournalWriter::create(&path, 9).unwrap();
+        let mut w = RecordWriter::create(&path, &sweep_header(9), FsyncPolicy::Off, None).unwrap();
         for r in &results {
             w.record(r).unwrap();
         }
@@ -194,11 +195,11 @@ fn serve_journal_bytes_are_pinned() {
         priority: Priority::High,
     };
     {
-        let mut j = ServeJournal::create(&path).unwrap();
-        j.record_submission(&normal).unwrap();
-        j.record_submission(&high).unwrap();
-        j.record_result(&JobResult::ok("fig18", 1, "out".into())).unwrap();
-        j.record_result(&quarantined()).unwrap();
+        let mut j = RecordWriter::create(&path, &recovery::header(), FsyncPolicy::Off, None).unwrap();
+        j.write_record(&normal.to_json()).unwrap();
+        j.write_record(&high.to_json()).unwrap();
+        j.record(&JobResult::ok("fig18", 1, "out".into())).unwrap();
+        j.record(&quarantined()).unwrap();
     }
     let expected = [
         r#"{"journal":"pim-serve","version":1}"#,
@@ -210,7 +211,7 @@ fn serve_journal_bytes_are_pinned() {
     let mut text = expected.join("\n");
     text.push('\n');
     assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
-    let (_, state) = ServeJournal::recover(&path).unwrap();
+    let (_, state) = recovery::recover(&path, FsyncPolicy::Off).unwrap();
     assert_eq!(state.submissions, [normal, high, quarantined_orphan()]);
     assert_eq!(state.results["bricked"], quarantined());
     assert_eq!((state.skipped, state.duplicates), (0, 0));
@@ -221,4 +222,78 @@ fn serve_journal_bytes_are_pinned() {
 /// line is absent.
 fn quarantined_orphan() -> Submission {
     Submission { id: "bricked".into(), client: String::new(), spec: String::new(), priority: Priority::Normal }
+}
+
+#[test]
+fn harness_compaction_bytes_are_pinned() {
+    let path = tmp("harness-compact.jsonl");
+    // A damaged harness journal: a duplicate record for `a` (the later
+    // one wins) and a torn tail for `c`.
+    let damaged = [
+        r#"{"journal":"pim-harness","version":1,"jobs":3}"#.to_string(),
+        r#"{"job":"b","status":"failed","attempts":1,"error_label":"panic","error":"panicked: boom","seed":7}"#
+            .to_string(),
+        r#"{"job":"a","status":"ok","attempts":1,"output":"first"}"#.to_string(),
+        format!(r#"{{"job":"a","status":"ok","attempts":2,"output":{}}}"#, ESCAPES_JSON),
+        r#"{"job":"c","status":"ok","att"#.to_string(),
+    ];
+    std::fs::write(&path, damaged.join("\n")).unwrap();
+    let state = pim_harness::journal::read_journal(&path, 3).unwrap();
+    pim_harness::journal::compact_journal(&path, &state, 3).unwrap();
+    let expected = [
+        r#"{"journal":"pim-harness","version":1,"jobs":3}"#.to_string(),
+        format!(r#"{{"job":"a","status":"ok","attempts":2,"output":{}}}"#, ESCAPES_JSON),
+        r#"{"job":"b","status":"failed","attempts":1,"error_label":"panic","error":"panicked: boom","seed":7}"#
+            .to_string(),
+    ];
+    let mut text = expected.join("\n");
+    text.push('\n');
+    assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn serve_compaction_bytes_are_pinned() {
+    use std::sync::Arc;
+    use std::time::Duration;
+
+    use pim_serve::{Resolver, Scheduler, ServePolicy, WaitOutcome};
+
+    let path = tmp("serve-compact.jsonl");
+    // A damaged server journal: a torn line, a duplicate submission for
+    // `a`, a duplicate result for `a` (the later one wins), an orphaned
+    // result for `ghost` whose submission never landed, and `b`, admitted
+    // but unfinished.
+    let damaged = [
+        r#"{"journal":"pim-serve","version":1}"#,
+        r#"{"kind":"sub","id":"a","client":"c1","spec":"square:2"}"#,
+        r#"{"job":"a","status":"ok","attempts":1,"output":"first"}"#,
+        r#"{"kind":"sub","id":"b","client":"c\n2","spec":"square:3","priority":"high"}"#,
+        r#"{"job":"half","sta"#,
+        r#"{"kind":"sub","id":"a","client":"c1","spec":"square:2"}"#,
+        r#"{"job":"ghost","status":"ok","attempts":1,"output":"boo"}"#,
+        r#"{"job":"a","status":"ok","attempts":2,"output":"4"}"#,
+    ];
+    std::fs::write(&path, format!("{}\n", damaged.join("\n"))).unwrap();
+
+    // Recovery compacts the journal, then re-runs `b` and appends its
+    // result.
+    let resolver: Resolver = Arc::new(|spec: &str, _ctx| Ok(format!("ran:{spec}")));
+    let s = Scheduler::start(ServePolicy::default(), resolver, pim_trace::Tracer::disabled(), Some(&path))
+        .unwrap();
+    assert!(matches!(s.wait("b", Some(Duration::from_secs(10))), WaitOutcome::Done(_)));
+    s.drain();
+    s.join();
+    let expected = [
+        r#"{"journal":"pim-serve","version":1}"#,
+        r#"{"kind":"sub","id":"a","client":"c1","spec":"square:2"}"#,
+        r#"{"job":"a","status":"ok","attempts":2,"output":"4"}"#,
+        r#"{"kind":"sub","id":"b","client":"c\n2","spec":"square:3","priority":"high"}"#,
+        r#"{"job":"ghost","status":"ok","attempts":1,"output":"boo"}"#,
+        r#"{"job":"b","status":"ok","attempts":1,"output":"ran:square:3"}"#,
+    ];
+    let mut text = expected.join("\n");
+    text.push('\n');
+    assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
+    std::fs::remove_file(&path).ok();
 }

@@ -13,9 +13,11 @@ cargo build --release
 
 echo "==> cargo test --workspace -q (chaos matrix capped at ${PIM_CHAOS_SEEDS:-8} seeds/family)"
 # Every crate's unit and integration tests, not just the root package's.
-# The seeded chaos matrices (crates/{harness,serve}/tests/chaos_matrix.rs)
-# default to 64 seeds per fault family; the gate caps them so the loop
-# stays fast. `scripts/chaos_smoke.sh --full` runs the full matrix.
+# The seeded chaos matrices (crates/{harness,serve,fleet}/tests/
+# chaos_matrix.rs) default to 64 seeds per fault family; the gate caps
+# them so the loop stays fast, and this is the one place check.sh runs
+# them. The full matrix is `PIM_CHAOS_SEEDS=64 cargo test -q -p
+# pim-harness -p pim-serve -p pim-fleet --test chaos_matrix`.
 PIM_CHAOS_SEEDS="${PIM_CHAOS_SEEDS:-8}" cargo test --workspace -q
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
@@ -146,7 +148,7 @@ if git cat-file -e HEAD:BENCH_fleet.json 2>/dev/null \
     exit 1
 fi
 
-echo "==> chaos smoke: SIGKILL recovery + seeded fault matrix (smoke seeds)"
+echo "==> chaos smoke: SIGKILL mid-sweep, recovered rerun byte-identical"
 scripts/chaos_smoke.sh
 
 echo "==> fleet smoke: 10k-device sweep, kill+resume bit-identity, quarantine replay"
