@@ -326,16 +326,14 @@ fn main() -> ExitCode {
     }
 
     if let Some(addr) = &cli.serve {
-        let (journal, _) = cli.journal();
-        let opts = pim_bench::serve_cli::ServeOptions {
-            addr: addr.clone(),
-            workers: cli.jobs,
-            journal: journal.map(Path::to_path_buf),
-            quota: cli.quota,
-            queue_depth: cli.queue_depth,
-            fsync: cli.fsync,
+        let policy = pim_serve::ServePolicy {
+            harness: cli.policy(),
+            quota: pim_serve::QuotaPolicy {
+                max_in_flight_per_client: cli.quota,
+                max_queue_depth: cli.queue_depth,
+            },
         };
-        return match pim_bench::serve_cli::run_server(&opts) {
+        return match pim_bench::serve_cli::run_server(addr, policy, cli.journal().0) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
                 eprintln!("pim-serve: {e}");

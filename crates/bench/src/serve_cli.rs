@@ -10,14 +10,13 @@
 //!   (journal, wire, memory), so a scorecard assembled from a served,
 //!   crashed, and recovered sweep matches an uninterrupted serial one.
 
-use std::path::PathBuf;
+use std::path::Path;
 use std::sync::Arc;
 
 use pim_core::DmpimError;
-use pim_harness::{FailureSummary, FsyncPolicy, HarnessPolicy, JobResult};
+use pim_harness::{FailureSummary, JobResult};
 use pim_serve::{
-    signal, Client, QuotaPolicy, Scheduler, Resolver, ServeError, ServePolicy, Server,
-    ShutdownMode,
+    signal, Client, Resolver, Scheduler, ServeError, ServePolicy, Server, ShutdownMode,
 };
 use pim_trace::Tracer;
 
@@ -36,22 +35,6 @@ pub fn resolver() -> Resolver {
     })
 }
 
-/// Server-mode knobs from the CLI.
-pub struct ServeOptions {
-    /// Listen address, e.g. `127.0.0.1:7009` (port 0 for ephemeral).
-    pub addr: String,
-    /// Worker threads.
-    pub workers: usize,
-    /// Journal path; `None` disables crash recovery.
-    pub journal: Option<PathBuf>,
-    /// Per-client in-flight quota (0 = unlimited).
-    pub quota: usize,
-    /// Global queue bound (0 = unlimited).
-    pub queue_depth: usize,
-    /// Journal durability (`--fsync=off|data|full`).
-    pub fsync: FsyncPolicy,
-}
-
 /// The server's tracer: metrics for the `metrics` op and the HTTP
 /// `/metrics` endpoint, and no event log, since nothing exports a served
 /// trace (a long session would otherwise buffer every job's events).
@@ -59,35 +42,26 @@ fn server_tracer() -> Tracer {
     Tracer::metrics_only()
 }
 
-/// Run the service until a drain completes (SIGTERM/ctrl-c or a client
-/// `shutdown` op) or a hard stop.
-pub fn run_server(opts: &ServeOptions) -> Result<(), ServeError> {
+/// Run the service on `addr` (e.g. `127.0.0.1:7009`, port 0 for
+/// ephemeral) until a drain completes (SIGTERM/ctrl-c or a client
+/// `shutdown` op) or a hard stop. `journal` is the write-ahead log;
+/// `None` disables crash recovery.
+pub fn run_server(
+    addr: &str,
+    policy: ServePolicy,
+    journal: Option<&Path>,
+) -> Result<(), ServeError> {
     signal::install();
-    let policy = ServePolicy {
-        harness: HarnessPolicy {
-            workers: opts.workers.max(1),
-            fsync: opts.fsync,
-            ..ServePolicy::default().harness
-        },
-        quota: QuotaPolicy {
-            max_in_flight_per_client: opts.quota,
-            max_queue_depth: opts.queue_depth,
-        },
-    };
+    let (workers, fsync) = (policy.harness.workers.max(1), policy.harness.fsync);
     let tracer = server_tracer();
-    let scheduler = Arc::new(Scheduler::start(
-        policy,
-        resolver(),
-        tracer.clone(),
-        opts.journal.as_deref(),
-    )?);
-    let server = Server::bind(&opts.addr, scheduler, tracer)?;
+    let scheduler = Arc::new(Scheduler::start(policy, resolver(), tracer.clone(), journal)?);
+    let server = Server::bind(addr, scheduler, tracer)?;
     eprintln!(
         "pim-serve: listening on {} ({} workers{})",
         server.local_addr(),
-        opts.workers.max(1),
-        match &opts.journal {
-            Some(p) => format!(", journal {} (fsync={})", p.display(), opts.fsync.label()),
+        workers,
+        match journal {
+            Some(p) => format!(", journal {} (fsync={})", p.display(), fsync.label()),
             None => ", no journal".to_string(),
         }
     );
@@ -145,7 +119,8 @@ pub fn banner(id: &str) {
 mod tests {
     use std::time::Duration;
 
-    use pim_serve::WaitOutcome;
+    use pim_harness::HarnessPolicy;
+    use pim_serve::{QuotaPolicy, WaitOutcome};
     use pim_trace::MetricsReport;
 
     use super::*;

@@ -1,7 +1,7 @@
 //! `Read`/`Write` wrappers that apply a [`ChaosPlan`] to an inner stream.
 //!
 //! The wrappers are transparent when the plan's config is
-//! [`ChaosConfig::none()`]. Fault semantics:
+//! [`ChaosConfig::none()`](crate::ChaosConfig::none). Fault semantics:
 //!
 //! - **Short reads/writes** are legal `Read`/`Write` behaviour; correct
 //!   callers loop and lose nothing.
@@ -15,7 +15,7 @@ use std::fs::File;
 use std::io::{self, Read, Write};
 use std::path::Path;
 
-use crate::plan::{ChaosConfig, ChaosPlan, ReadEvent, WriteEvent};
+use crate::plan::{ChaosPlan, ReadEvent, WriteEvent};
 
 fn nap(plan: &ChaosPlan) {
     if let Some(d) = plan.op_delay() {
@@ -109,76 +109,6 @@ impl<W: Write> Write for ChaosWriter<W> {
     }
 }
 
-/// A fault-injecting bidirectional stream (e.g. an in-memory duplex used in
-/// tests, or any `Read + Write` transport). Read and write directions
-/// consume independent forked plans so one direction's draw count never
-/// perturbs the other's schedule.
-#[derive(Debug)]
-pub struct ChaosStream<S> {
-    inner: S,
-    read_plan: ChaosPlan,
-    write_plan: ChaosPlan,
-}
-
-impl<S> ChaosStream<S> {
-    /// Wrap `inner`, deriving per-direction plans from `(cfg, seed)`.
-    pub fn new(inner: S, cfg: ChaosConfig, seed: u64) -> Self {
-        Self {
-            inner,
-            read_plan: ChaosPlan::fork(cfg, seed, 1),
-            write_plan: ChaosPlan::fork(cfg, seed, 2),
-        }
-    }
-
-    pub fn into_inner(self) -> S {
-        self.inner
-    }
-}
-
-impl<S: Read> Read for ChaosStream<S> {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        if buf.is_empty() {
-            return self.inner.read(buf);
-        }
-        nap(&self.read_plan);
-        match self.read_plan.read_event(buf.len()) {
-            ReadEvent::Pass => self.inner.read(buf),
-            ReadEvent::Short { max } => self.inner.read(&mut buf[..max]),
-            ReadEvent::Fault(e) => Err(e),
-        }
-    }
-}
-
-impl<S: Read + Write> Write for ChaosStream<S> {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        if buf.is_empty() {
-            return self.inner.write(buf);
-        }
-        nap(&self.write_plan);
-        match self.write_plan.write_event(buf.len()) {
-            WriteEvent::Pass { keep } => {
-                let n = self.inner.write(&buf[..keep])?;
-                self.write_plan.account_written(n);
-                Ok(n)
-            }
-            WriteEvent::Zero => Ok(0),
-            WriteEvent::Torn { keep } => {
-                if keep > 0 {
-                    self.inner.write_all(&buf[..keep])?;
-                    self.write_plan.account_written(keep);
-                    let _ = self.inner.flush();
-                }
-                Err(crate::plan::torn_error())
-            }
-            WriteEvent::Fault(e) => Err(e),
-        }
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        self.inner.flush()
-    }
-}
-
 /// A fault-injecting append-only file, for journal-style sinks. Exposes the
 /// `sync_data`/`sync_all` surface of [`File`] so durability policies work
 /// through the wrapper (syncs are forwarded un-faulted: the chaos layer
@@ -227,7 +157,7 @@ impl Write for ChaosFile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::is_disk_full;
+    use crate::plan::{is_disk_full, ChaosConfig};
 
     /// Write `lines` through a chaos writer with a caller that retries
     /// transient faults a bounded number of times per line, then read the
@@ -366,38 +296,23 @@ mod tests {
 
     #[test]
     fn stream_reset_kills_both_directions() {
-        struct Duplex(Vec<u8>);
-        impl Read for Duplex {
-            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-                let n = buf.len().min(self.0.len());
-                buf[..n].copy_from_slice(&self.0[..n]);
-                self.0.drain(..n);
-                Ok(n)
-            }
-        }
-        impl Write for Duplex {
-            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-                self.0.extend_from_slice(buf);
-                Ok(buf.len())
-            }
-            fn flush(&mut self) -> io::Result<()> {
-                Ok(())
-            }
-        }
-        let mut s = ChaosStream::new(Duplex(Vec::new()), ChaosConfig::reset_between(4, 8), 21);
+        // One connection's two directions, as a client wraps them: forked
+        // plans, so each draws its own reset onset.
+        let cfg = ChaosConfig::reset_between(4, 8);
+        let mut w = ChaosWriter::new(Vec::new(), ChaosPlan::fork(cfg, 21, 2));
         let mut reset = false;
         for _ in 0..32 {
-            if s.write(b"ping\n").is_err() {
+            if w.write(b"ping\n").is_err() {
                 reset = true;
                 break;
             }
         }
         assert!(reset, "write direction never reset");
-        // Read direction's independent plan also trips (its own drawn onset).
+        let mut r = ChaosReader::new(io::repeat(b'x'), ChaosPlan::fork(cfg, 21, 1));
         let mut buf = [0u8; 8];
         let mut read_reset = false;
         for _ in 0..32 {
-            if s.read(&mut buf).is_err() {
+            if r.read(&mut buf).is_err() {
                 read_reset = true;
                 break;
             }

@@ -27,7 +27,7 @@
 pub mod io;
 pub mod plan;
 
-pub use crate::io::{ChaosFile, ChaosReader, ChaosStream, ChaosWriter};
+pub use crate::io::{ChaosFile, ChaosReader, ChaosWriter};
 pub use crate::plan::{
     disk_full_error, is_disk_full, reset_error, torn_error, ChaosConfig, ChaosPlan, ReadEvent,
     WriteEvent,

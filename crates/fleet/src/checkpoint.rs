@@ -1,7 +1,7 @@
 //! Atomic fleet checkpoints.
 //!
 //! After each folded batch of shards the sweep persists its entire
-//! aggregation state — sketch trio, completed-shard bitmap, quarantine
+//! aggregation state — the tally, completed-shard bitmap, quarantine
 //! list, degradation level — as a single JSON document, written with the
 //! journal-compaction idiom (`tmp` file → `write_all` → `sync_all` →
 //! `rename` → parent-directory sync). A crash at any instant therefore
@@ -23,13 +23,15 @@ use pim_harness::journal::replace_atomically;
 use pim_harness::JournalSink;
 use pim_trace::JsonValue;
 
-use crate::sketch::{CountMinSketch, FixedHistogram, QuantileSketch, SketchConfig, SketchError};
+use crate::sketch::SketchConfig;
+use crate::sweep::FleetTally;
 use crate::FleetError;
 
 /// Checkpoint file magic.
 pub const MAGIC: &str = "pim-fleet";
-/// Checkpoint format version.
-pub const VERSION: u64 = 1;
+/// Checkpoint format version. A checkpoint of another version is
+/// discarded like any unreadable one, and the sweep recomputes.
+pub const VERSION: u64 = 2;
 
 /// The identity of a sweep: a checkpoint may only resume a sweep with the
 /// exact same key, otherwise merged state would silently mix populations.
@@ -169,20 +171,12 @@ pub struct FleetState {
     pub sketch_cfg: SketchConfig,
     /// How many times the memory budget degraded the sketch resolution.
     pub degraded_steps: u32,
-    /// Devices aggregated so far.
-    pub devices_done: u64,
-    /// Devices whose PIM configuration regressed (shifted bp < 10000).
-    pub regressed: u64,
     /// Completed shards.
     pub completed: ShardBitmap,
     /// Quarantined shards with replayable seeds.
     pub quarantined: Vec<QuarantineRecord>,
-    /// Streaming quantiles of the shifted energy-reduction distribution.
-    pub reduction_q: QuantileSketch,
-    /// Fixed-bucket histogram for exact threshold queries.
-    pub reduction_hist: FixedHistogram,
-    /// Config-token → regression-count attribution.
-    pub attribution: CountMinSketch,
+    /// Every completed shard's tally, merged.
+    pub tally: FleetTally,
 }
 
 impl FleetState {
@@ -192,13 +186,9 @@ impl FleetState {
             key,
             sketch_cfg: cfg,
             degraded_steps,
-            devices_done: 0,
-            regressed: 0,
             completed: ShardBitmap::new(key.shards()),
             quarantined: Vec::new(),
-            reduction_q: QuantileSketch::new(cfg.sub_bits),
-            reduction_hist: FixedHistogram::for_reductions(),
-            attribution: CountMinSketch::new(cfg.cm_width, cfg.cm_depth),
+            tally: FleetTally::new(cfg),
         }
     }
 
@@ -223,18 +213,14 @@ impl FleetState {
                     .set("cm_depth", self.sketch_cfg.cm_depth as u64),
             )
             .set("degraded_steps", u64::from(self.degraded_steps))
-            .set("devices_done", self.devices_done)
-            .set("regressed", self.regressed)
             .set("completed", self.completed.to_hex().as_str())
             .set("quarantined", quarantined)
-            .set("reduction_q", self.reduction_q.to_json_value())
-            .set("reduction_hist", self.reduction_hist.to_json_value())
-            .set("attribution", self.attribution.to_json_value())
+            .set("tally", self.tally.to_json_value())
     }
 
     /// Parse a checkpoint document and validate it against the sweep key.
     ///
-    /// Structural damage, including a sketch whose geometry disagrees
+    /// Structural damage, including a tally whose geometry disagrees
     /// with the document's `sketch` block, is [`FleetError::Corrupt`]
     /// (callers warn and start fresh — recomputing is always safe); a
     /// well-formed document for a *different* sweep is
@@ -305,28 +291,19 @@ impl FleetState {
         {
             quarantined.push(QuarantineRecord::from_json_value(q)?);
         }
-        let sub = |k: &str| {
-            doc.get(k).ok_or_else(|| FleetError::Corrupt(format!("checkpoint missing {k}")))
-        };
+        let tally = doc
+            .get("tally")
+            .ok_or_else(|| FleetError::Corrupt("checkpoint missing tally".into()))?;
         let degraded_steps = u32::try_from(num("degraded_steps")?)
             .map_err(|_| FleetError::Corrupt("degraded_steps".into()))?;
         let mut state = Self::new(key, sketch_cfg, degraded_steps);
-        // Each stored sketch is merged into the empty one of the geometry
+        // The stored tally is merged into the empty one of the geometry
         // `sketch_cfg` gives, which is what every resumed shard produces:
-        // a sketch that disagrees with it is damage here, not a failed
+        // a tally that disagrees with it is damage here, not a failed
         // merge at the resumed sweep's first shard.
-        let damaged = |e: SketchError| FleetError::Corrupt(format!("checkpoint {e}"));
-        QuantileSketch::from_json_value(sub("reduction_q")?)
-            .and_then(|q| state.reduction_q.merge(&q))
-            .map_err(damaged)?;
-        FixedHistogram::from_json_value(sub("reduction_hist")?)
-            .and_then(|h| state.reduction_hist.merge(&h))
-            .map_err(damaged)?;
-        CountMinSketch::from_json_value(sub("attribution")?)
-            .and_then(|cm| state.attribution.merge(&cm))
-            .map_err(damaged)?;
-        state.devices_done = num("devices_done")?;
-        state.regressed = num("regressed")?;
+        FleetTally::from_json_value(tally)
+            .and_then(|t| state.tally.merge(&t))
+            .map_err(|e| FleetError::Corrupt(format!("checkpoint {e}")))?;
         state.completed = completed;
         state.quarantined = quarantined;
         Ok(state)
@@ -387,6 +364,7 @@ mod tests {
     use std::path::PathBuf;
 
     use super::*;
+    use crate::profile::sample_profile;
 
     fn temp_path(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -397,14 +375,8 @@ mod tests {
     fn sample_state() -> FleetState {
         let key = SweepKey { seed: 7, devices: 1000, offset: 0, shard_size: 100 };
         let mut s = FleetState::new(key, SketchConfig::default(), 1);
-        for v in [9_000u64, 14_500, 15_000, 8_000, 19_000] {
-            s.reduction_q.observe(v);
-            s.reduction_hist.observe(v);
-            if v < 10_000 {
-                s.regressed += 1;
-                s.attribution.increment("dram:lpddr4", 1);
-            }
-            s.devices_done += 1;
+        for (d, v) in [9_000u64, 14_500, 15_000, 8_000, 19_000].into_iter().enumerate() {
+            s.tally.observe(v, &sample_profile(7, d as u64));
         }
         s.completed.set(0);
         s.completed.set(3);
@@ -463,7 +435,7 @@ mod tests {
         write_checkpoint(&path, &state, None, 0).unwrap();
         let other = SweepKey { seed: 8, ..state.key };
         assert!(matches!(load_checkpoint(&path, &other), Err(FleetError::Mismatch(_))));
-        std::fs::write(&path, "{\"fleet\":\"pim-fleet\",\"version\":1,").unwrap();
+        std::fs::write(&path, "{\"fleet\":\"pim-fleet\",\"version\":2,").unwrap();
         assert!(matches!(load_checkpoint(&path, &state.key), Err(FleetError::Corrupt(_))));
         let _ = std::fs::remove_file(&path);
     }
@@ -475,7 +447,7 @@ mod tests {
         write_checkpoint(&path, &state, None, 0).unwrap();
         let before = std::fs::read(&path).unwrap();
         let mut newer = state.clone();
-        newer.devices_done += 100;
+        newer.tally.observe(12_000, &sample_profile(7, 400));
         newer.completed.set(4);
         // Torn-write chaos on the tmp sink: some seeds fail the write; the
         // visible checkpoint must never change on failure.

@@ -12,12 +12,13 @@
 //!    profile and analytic energy outcome are pure functions of
 //!    `(sweep seed, i)`, so any shard, worker, or resumed run evaluates
 //!    the same device identically.
-//! 2. **Constant-memory, exactly-mergeable sketches** ([`sketch`]):
-//!    streaming quantiles, a fixed-bucket histogram for exact threshold
-//!    queries, and a count-min sketch for config → regression
-//!    attribution. All state is integer counters, so merges are exactly
-//!    associative and commutative — the algebra behind bit-identical
-//!    crash recovery.
+//! 2. **One constant-memory, exactly-mergeable tally** ([`FleetTally`]):
+//!    exact counts of devices that regress and that clear the paper's
+//!    40% bar, streaming quantiles and a count-min sketch for config →
+//!    regression attribution ([`sketch`]). A shard returns one, and the
+//!    sweep merges them. All state is integer counters, so merges are
+//!    exactly associative and commutative — the algebra behind
+//!    bit-identical crash recovery.
 //! 3. **Atomic checkpoints and shard quarantine** ([`checkpoint`],
 //!    [`sweep`]): every folded batch persists the full state with the
 //!    tmp → fsync → rename idiom; SIGKILL at any instant loses at most
@@ -41,10 +42,10 @@ pub use profile::{
     energy_reduction_shifted_bp, sample_profile, shifted_to_signed_bp, token_vocabulary,
     DeviceProfile, DramClass, FaultClass, WorkloadMix,
 };
-pub use sketch::{CountMinSketch, FixedHistogram, QuantileSketch, SketchConfig, SketchError};
+pub use sketch::{CountMinSketch, QuantileSketch, SketchConfig, SketchError};
 pub use sweep::{
-    evaluate_shard, fleet_report, run_fleet, FleetConfig, FleetOutcome, ShardSummary,
-    SHIFTED_40PCT_BP, SHIFTED_ZERO_BP,
+    evaluate_shard, fleet_report, run_fleet, FleetConfig, FleetOutcome, FleetTally,
+    ShardSummary, SHIFTED_40PCT_BP, SHIFTED_ZERO_BP,
 };
 
 /// Errors a fleet sweep can surface.

@@ -8,24 +8,26 @@
 //! fleet sweep resume from its last checkpoint and still render a
 //! byte-identical report.
 //!
-//! Three shapes:
+//! Two shapes:
 //!
 //! * [`QuantileSketch`] — HDR-style log₂ × linear sub-bucket histogram.
 //!   Bucket width within the octave of a value `v ≥ 2^(m+1)` is
 //!   `2^(h-m)` for `h = ⌊log₂ v⌋`, so the reported quantile `Q`
 //!   satisfies `Q ≤ v < Q · (1 + 2^-m)`: relative error ≤ `2^-m` for
 //!   sub-bucket resolution `m` (values below `2^(m+1)` are exact).
-//! * [`FixedHistogram`] — lower-inclusive fixed-width buckets for exact
-//!   threshold queries ("how many devices see ≥ 40% reduction").
 //! * [`CountMinSketch`] — `depth × width` counter matrix with
 //!   SplitMix64-derived row hashes for config → regression attribution.
 //!   Estimates over-count, never under-count.
+//!
+//! The sweep's threshold counts ("how many devices see ≥ 40%
+//! reduction", "how many regress") need no sketch: they are exact
+//! counters beside these two in [`crate::FleetTally`].
 
 use pim_faults::SplitMix64;
 use pim_trace::JsonValue;
 
-/// Resolution knobs shared by the three sketches, chosen once per sweep
-/// from the memory budget and then frozen into every checkpoint.
+/// Resolution knobs of the two sketches, chosen once per sweep from the
+/// memory budget and then frozen into every checkpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SketchConfig {
     /// Sub-bucket bits of the quantile sketch: `2^sub_bits` linear
@@ -44,12 +46,12 @@ impl Default for SketchConfig {
 }
 
 impl SketchConfig {
-    /// Estimated resident bytes of one sketch trio at this resolution.
-    pub fn trio_bytes(&self) -> u64 {
+    /// Estimated resident bytes of one tally's sketches at this
+    /// resolution.
+    pub fn tally_bytes(&self) -> u64 {
         let q = QuantileSketch::bucket_count(self.sub_bits) as u64 * 8;
-        let h = (REDUCTION_BUCKETS as u64 + 1) * 8;
         let cm = (self.cm_width * self.cm_depth) as u64 * 8;
-        q + h + cm
+        q + cm
     }
 
     /// Halve the resolution one step (quantile error doubles, count-min
@@ -264,124 +266,6 @@ impl QuantileSketch {
     }
 }
 
-/// Bucket width of the reduction histogram, in (shifted) basis points.
-pub const REDUCTION_STEP_BP: u64 = 250;
-/// Dense buckets covering shifted reductions `[0, 20000)` — i.e. signed
-/// reductions from −100% to +100% at 2.5%-point granularity.
-pub const REDUCTION_BUCKETS: usize = (20_000 / REDUCTION_STEP_BP) as usize;
-
-/// Lower-inclusive fixed-width histogram: bucket `i` covers
-/// `[i·step, (i+1)·step)`, with a final overflow bucket. Threshold
-/// queries on bucket edges are exact.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FixedHistogram {
-    step: u64,
-    counts: Vec<u64>,
-    count: u64,
-}
-
-impl FixedHistogram {
-    /// A histogram of `buckets` dense buckets of width `step` plus one
-    /// overflow bucket.
-    pub fn new(step: u64, buckets: usize) -> Self {
-        Self { step: step.max(1), counts: vec![0; buckets + 1], count: 0 }
-    }
-
-    /// The reduction histogram every fleet sweep uses.
-    pub fn for_reductions() -> Self {
-        Self::new(REDUCTION_STEP_BP, REDUCTION_BUCKETS)
-    }
-
-    /// Observations folded in.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Fold one observation in.
-    pub fn observe(&mut self, v: u64) {
-        let idx = ((v / self.step) as usize).min(self.counts.len() - 1);
-        self.counts[idx] += 1;
-        self.count += 1;
-    }
-
-    /// Exact count of observations `≥ threshold`; `threshold` must sit on
-    /// a bucket edge (`threshold % step == 0`) for exactness.
-    pub fn count_ge(&self, threshold: u64) -> u64 {
-        let first = ((threshold / self.step) as usize).min(self.counts.len() - 1);
-        self.counts[first..].iter().sum()
-    }
-
-    /// Exact count of observations `< threshold` (same edge requirement).
-    pub fn count_lt(&self, threshold: u64) -> u64 {
-        self.count - self.count_ge(threshold)
-    }
-
-    /// Exact merge. Errors when geometries differ.
-    pub fn merge(&mut self, other: &Self) -> Result<(), SketchError> {
-        if self.step != other.step || self.counts.len() != other.counts.len() {
-            return Err(SketchError::Mismatch("histogram step/buckets".into()));
-        }
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += *b;
-        }
-        self.count += other.count;
-        Ok(())
-    }
-
-    /// Serialize (sparse pairs, like the quantile sketch).
-    pub fn to_json_value(&self) -> JsonValue {
-        let mut buckets = JsonValue::array();
-        for (idx, &c) in self.counts.iter().enumerate() {
-            if c != 0 {
-                buckets = buckets.push(idx as u64).push(c);
-            }
-        }
-        JsonValue::object()
-            .set("step", self.step)
-            .set("len", self.counts.len() as u64)
-            .set("count", self.count)
-            .set("buckets", buckets)
-    }
-
-    /// Inverse of [`FixedHistogram::to_json_value`].
-    pub fn from_json_value(v: &JsonValue) -> Result<Self, SketchError> {
-        let step = v
-            .get("step")
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| SketchError::Corrupt("histogram missing step".into()))?;
-        let len = v
-            .get("len")
-            .and_then(JsonValue::as_u64)
-            .and_then(|l| usize::try_from(l).ok())
-            .filter(|&l| (1..=1 << 20).contains(&l))
-            .ok_or_else(|| SketchError::Corrupt("histogram missing len".into()))?;
-        let mut h = Self { step: step.max(1), counts: vec![0; len], count: 0 };
-        h.count = v
-            .get("count")
-            .and_then(JsonValue::as_u64)
-            .ok_or_else(|| SketchError::Corrupt("histogram missing count".into()))?;
-        let buckets = v
-            .get("buckets")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| SketchError::Corrupt("histogram missing buckets".into()))?;
-        if buckets.len() % 2 != 0 {
-            return Err(SketchError::Corrupt("odd histogram bucket pair list".into()));
-        }
-        for pair in buckets.chunks(2) {
-            let idx = pair[0]
-                .as_u64()
-                .and_then(|i| usize::try_from(i).ok())
-                .filter(|&i| i < h.counts.len())
-                .ok_or_else(|| SketchError::Corrupt("histogram bucket index".into()))?;
-            let c = pair[1]
-                .as_u64()
-                .ok_or_else(|| SketchError::Corrupt("histogram bucket count".into()))?;
-            h.counts[idx] = c;
-        }
-        Ok(h)
-    }
-}
-
 /// Fixed salts deriving the independent count-min row hashes (golden-ratio
 /// multiples, same family as [`SplitMix64`]'s increment).
 const CM_ROW_SALTS: [u64; 8] = [
@@ -552,17 +436,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_threshold_on_edge_is_exact() {
-        let mut h = FixedHistogram::for_reductions();
-        for v in [0u64, 13_999, 14_000, 14_001, 19_999, 25_000] {
-            h.observe(v);
-        }
-        assert_eq!(h.count_ge(14_000), 4, "14000 is a bucket edge: exact");
-        assert_eq!(h.count_lt(10_000), 1);
-        assert_eq!(h.count(), 6);
-    }
-
-    #[test]
     fn count_min_never_undercounts() {
         let mut cm = CountMinSketch::new(64, 4);
         for i in 0..200u64 {
@@ -576,20 +449,16 @@ mod tests {
     #[test]
     fn serialization_round_trips_bit_identically() {
         let mut q = QuantileSketch::new(6);
-        let mut h = FixedHistogram::for_reductions();
         let mut cm = CountMinSketch::new(256, 4);
         let mut rng = SplitMix64::new(42);
         for _ in 0..5_000 {
             let v = rng.next_below(20_000);
             q.observe(v);
-            h.observe(v);
             cm.increment(&format!("t{}", v % 13), 1);
         }
         let q2 = QuantileSketch::from_json_value(&q.to_json_value()).unwrap();
-        let h2 = FixedHistogram::from_json_value(&h.to_json_value()).unwrap();
         let cm2 = CountMinSketch::from_json_value(&cm.to_json_value()).unwrap();
         assert_eq!(q, q2);
-        assert_eq!(h, h2);
         assert_eq!(cm, cm2);
         assert_eq!(q.to_json_value().render(), q2.to_json_value().render());
     }
@@ -621,9 +490,6 @@ mod tests {
         let mut a = QuantileSketch::new(4);
         let b = QuantileSketch::new(5);
         assert!(matches!(a.merge(&b), Err(SketchError::Mismatch(_))));
-        let mut ha = FixedHistogram::new(100, 10);
-        let hb = FixedHistogram::new(200, 10);
-        assert!(matches!(ha.merge(&hb), Err(SketchError::Mismatch(_))));
         let mut ca = CountMinSketch::new(64, 4);
         let cb = CountMinSketch::new(128, 4);
         assert!(matches!(ca.merge(&cb), Err(SketchError::Mismatch(_))));
@@ -633,9 +499,9 @@ mod tests {
     fn degrade_halves_resolution_until_the_floor()
     {
         let mut cfg = SketchConfig::default();
-        let before = cfg.trio_bytes();
+        let before = cfg.tally_bytes();
         assert!(cfg.degrade());
-        assert!(cfg.trio_bytes() < before);
+        assert!(cfg.tally_bytes() < before);
         while cfg.degrade() {}
         assert_eq!(cfg.sub_bits, 2);
         assert_eq!(cfg.cm_width, 64);

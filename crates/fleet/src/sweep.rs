@@ -32,8 +32,10 @@ use pim_harness::{Harness, HarnessPolicy, Job, JobStatus};
 use pim_trace::{JsonValue, Tracer};
 
 use crate::checkpoint::{load_checkpoint, write_checkpoint, FleetState, QuarantineRecord, SweepKey};
-use crate::profile::{sample_profile, shifted_to_signed_bp, token_vocabulary, EnergyTerms};
-use crate::sketch::{CountMinSketch, FixedHistogram, QuantileSketch, SketchConfig};
+use crate::profile::{
+    sample_profile, shifted_to_signed_bp, token_vocabulary, DeviceProfile, EnergyTerms,
+};
+use crate::sketch::{CountMinSketch, QuantileSketch, SketchConfig, SketchError};
 use crate::FleetError;
 
 /// Shifted-basis-point encoding of "no change": signed 0 bp.
@@ -129,88 +131,116 @@ pub struct FleetOutcome {
     pub recovered_from_corrupt_checkpoint: bool,
 }
 
-/// One shard's aggregation summary — the payload a shard job returns
-/// through the harness as a string.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardSummary {
-    /// First absolute device index.
-    pub start: u64,
-    /// Devices evaluated.
-    pub devices: u64,
-    /// Devices whose PIM configuration regressed.
+/// The mergeable aggregate of a set of devices: what a shard job returns
+/// and what the sweep folds into [`FleetState`]. Two exact counters and
+/// two sketches, all integer state, so [`FleetTally::merge`] is exactly
+/// associative and commutative. The quantile sketch's count is the
+/// device count.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FleetTally {
+    /// Devices whose PIM configuration regressed (shifted bp below
+    /// [`SHIFTED_ZERO_BP`]).
     pub regressed: u64,
-    /// Shard-local sketches (same geometry as the sweep's).
+    /// Devices at or above the paper's 40%-reduction bar
+    /// ([`SHIFTED_40PCT_BP`]).
+    pub ge_40pct: u64,
+    /// Streaming quantiles of the shifted energy-reduction distribution.
     pub reduction_q: QuantileSketch,
-    /// Shard-local reduction histogram.
-    pub reduction_hist: FixedHistogram,
-    /// Shard-local attribution counts.
+    /// Config-token → regression-count attribution.
     pub attribution: CountMinSketch,
 }
 
-impl ShardSummary {
-    /// Render as the shard job's payload string (deterministic).
-    pub fn render(&self) -> String {
+/// One shard's tally, the payload a shard job returns through the
+/// harness as a string ([`FleetTally::render`]).
+pub type ShardSummary = FleetTally;
+
+impl FleetTally {
+    /// An empty tally at sketch resolution `cfg`.
+    pub fn new(cfg: SketchConfig) -> Self {
+        Self {
+            regressed: 0,
+            ge_40pct: 0,
+            reduction_q: QuantileSketch::new(cfg.sub_bits),
+            attribution: CountMinSketch::new(cfg.cm_width, cfg.cm_depth),
+        }
+    }
+
+    /// Devices tallied.
+    pub fn devices(&self) -> u64 {
+        self.reduction_q.count()
+    }
+
+    /// Fold in one device whose energy reduction is `shifted` bp.
+    pub fn observe(&mut self, shifted: u64, profile: &DeviceProfile) {
+        self.reduction_q.observe(shifted);
+        // Branch-free: about half the fleet clears the bar, in no order a
+        // branch predictor could learn.
+        self.ge_40pct += u64::from(shifted >= SHIFTED_40PCT_BP);
+        if shifted < SHIFTED_ZERO_BP {
+            self.regressed += 1;
+            for token in profile.tokens() {
+                self.attribution.increment(&token, 1);
+            }
+        }
+    }
+
+    /// Exact merge. Errors when the sketch geometries differ, leaving
+    /// `self` partly merged: callers discard it.
+    pub fn merge(&mut self, other: &Self) -> Result<(), SketchError> {
+        self.reduction_q.merge(&other.reduction_q)?;
+        self.attribution.merge(&other.attribution)?;
+        self.regressed += other.regressed;
+        self.ge_40pct += other.ge_40pct;
+        Ok(())
+    }
+
+    /// Serialize as one JSON object (deterministic key order).
+    pub fn to_json_value(&self) -> JsonValue {
         JsonValue::object()
-            .set("start", self.start)
-            .set("devices", self.devices)
             .set("regressed", self.regressed)
+            .set("ge_40pct", self.ge_40pct)
             .set("reduction_q", self.reduction_q.to_json_value())
-            .set("reduction_hist", self.reduction_hist.to_json_value())
             .set("attribution", self.attribution.to_json_value())
-            .render()
+    }
+
+    /// Inverse of [`FleetTally::to_json_value`].
+    pub fn from_json_value(v: &JsonValue) -> Result<Self, SketchError> {
+        let field = |k: &str| v.get(k).ok_or_else(|| SketchError::Corrupt(format!("tally {k}")));
+        let num =
+            |k: &str| field(k)?.as_u64().ok_or_else(|| SketchError::Corrupt(format!("tally {k}")));
+        Ok(Self {
+            regressed: num("regressed")?,
+            ge_40pct: num("ge_40pct")?,
+            reduction_q: QuantileSketch::from_json_value(field("reduction_q")?)?,
+            attribution: CountMinSketch::from_json_value(field("attribution")?)?,
+        })
+    }
+
+    /// Render as a shard job's payload string (deterministic).
+    pub fn render(&self) -> String {
+        self.to_json_value().render()
     }
 
     /// Parse a payload back.
     pub fn parse(text: &str) -> Result<Self, FleetError> {
         let doc = JsonValue::parse(text)
             .map_err(|e| FleetError::Corrupt(format!("shard summary parse: {e}")))?;
-        let num = |k: &str| {
-            doc.get(k)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| FleetError::Corrupt(format!("shard summary missing {k}")))
-        };
-        let sub = |k: &str| {
-            doc.get(k).ok_or_else(|| FleetError::Corrupt(format!("shard summary missing {k}")))
-        };
-        Ok(Self {
-            start: num("start")?,
-            devices: num("devices")?,
-            regressed: num("regressed")?,
-            reduction_q: QuantileSketch::from_json_value(sub("reduction_q")?)?,
-            reduction_hist: FixedHistogram::from_json_value(sub("reduction_hist")?)?,
-            attribution: CountMinSketch::from_json_value(sub("attribution")?)?,
-        })
+        Ok(Self::from_json_value(&doc)?)
     }
 }
 
 /// Evaluate one shard: sample each device's profile, price it with the
 /// analytic energy model at [`pim_energy::EnergyParams::default`] from
-/// the model's precomputed terms, fold into shard-local sketches. Pure
-/// function of its arguments.
+/// the model's precomputed terms, and tally it. Pure function of its
+/// arguments.
 pub fn evaluate_shard(seed: u64, start: u64, devices: u64, cfg: SketchConfig) -> ShardSummary {
     let terms = EnergyTerms::for_default_params();
-    let mut s = ShardSummary {
-        start,
-        devices: 0,
-        regressed: 0,
-        reduction_q: QuantileSketch::new(cfg.sub_bits),
-        reduction_hist: FixedHistogram::for_reductions(),
-        attribution: CountMinSketch::new(cfg.cm_width, cfg.cm_depth),
-    };
+    let mut tally = FleetTally::new(cfg);
     for d in start..start + devices {
         let profile = sample_profile(seed, d);
-        let shifted = terms.reduction_shifted_bp(&profile);
-        s.reduction_q.observe(shifted);
-        s.reduction_hist.observe(shifted);
-        if shifted < SHIFTED_ZERO_BP {
-            s.regressed += 1;
-            for token in profile.tokens() {
-                s.attribution.increment(&token, 1);
-            }
-        }
-        s.devices += 1;
+        tally.observe(terms.reduction_shifted_bp(&profile), &profile);
     }
-    s
+    tally
 }
 
 /// Pick the sketch resolution that fits the memory budget. Returns the
@@ -218,10 +248,10 @@ pub fn evaluate_shard(seed: u64, start: u64, devices: u64, cfg: SketchConfig) ->
 fn budgeted_config(workers: usize, budget_bytes: u64) -> (SketchConfig, u32) {
     let mut cfg = SketchConfig::default();
     let mut steps = 0u32;
-    // Resident trios: the global fold state plus up to one in-flight and
+    // Resident tallies: the global fold state plus up to one in-flight and
     // one completed summary per worker.
-    let trios = 1 + 3 * workers.max(1) as u64;
-    while trios * cfg.trio_bytes() > budget_bytes.max(1) {
+    let tallies = 1 + 3 * workers.max(1) as u64;
+    while tallies * cfg.tally_bytes() > budget_bytes.max(1) {
         if !cfg.degrade() {
             break;
         }
@@ -340,12 +370,7 @@ pub fn run_fleet(cfg: &FleetConfig, tracer: &Tracer) -> Result<FleetOutcome, Fle
             let count = key.shard_size.min(key.offset + key.devices - start);
             match (r.status, &r.output) {
                 (JobStatus::Succeeded, Some(payload)) => {
-                    let summary = ShardSummary::parse(payload)?;
-                    state.reduction_q.merge(&summary.reduction_q)?;
-                    state.reduction_hist.merge(&summary.reduction_hist)?;
-                    state.attribution.merge(&summary.attribution)?;
-                    state.devices_done += summary.devices;
-                    state.regressed += summary.regressed;
+                    state.tally.merge(&ShardSummary::parse(payload)?)?;
                     state.completed.set(shard);
                     tracer.count("fleet.shards_completed", 1);
                 }
@@ -392,7 +417,7 @@ pub fn run_fleet(cfg: &FleetConfig, tracer: &Tracer) -> Result<FleetOutcome, Fle
         }
     }
 
-    tracer.gauge("fleet.devices_done", state.devices_done as f64);
+    tracer.gauge("fleet.devices_done", state.tally.devices() as f64);
     Ok(FleetOutcome {
         state,
         resumed_shards,
@@ -409,7 +434,7 @@ pub fn run_fleet(cfg: &FleetConfig, tracer: &Tracer) -> Result<FleetOutcome, Fle
 /// an uninterrupted sweep and a kill + resume render byte-identical
 /// documents.
 pub fn fleet_report(state: &FleetState) -> JsonValue {
-    let q = &state.reduction_q;
+    let q = &state.tally.reduction_q;
     let quantile_bp = |p: f64| shifted_to_signed_bp(q.quantile(p));
     let mean_bp = if q.count() == 0 {
         0
@@ -423,7 +448,7 @@ pub fn fleet_report(state: &FleetState) -> JsonValue {
     let mut tokens: Vec<(String, u64)> = token_vocabulary()
         .into_iter()
         .map(|t| {
-            let est = state.attribution.estimate(&t);
+            let est = state.tally.attribution.estimate(&t);
             (t, est)
         })
         .filter(|(_, est)| *est > 0)
@@ -477,9 +502,9 @@ pub fn fleet_report(state: &FleetState) -> JsonValue {
                 .set("cm_width", state.sketch_cfg.cm_width as u64)
                 .set("cm_depth", state.sketch_cfg.cm_depth as u64)
                 .set("degraded_steps", u64::from(state.degraded_steps))
-                .set("quantile_rel_error_bound", state.reduction_q.relative_error_bound()),
+                .set("quantile_rel_error_bound", q.relative_error_bound()),
         )
-        .set("devices_done", state.devices_done)
+        .set("devices_done", q.count())
         .set(
             "energy_reduction_bp",
             JsonValue::object()
@@ -489,15 +514,18 @@ pub fn fleet_report(state: &FleetState) -> JsonValue {
                 .set("p90", quantile_bp(0.90))
                 .set("p99", quantile_bp(0.99)),
         )
-        .set("devices_ge_40pct_reduction", state.reduction_hist.count_ge(SHIFTED_40PCT_BP))
-        .set("devices_regressed", state.reduction_hist.count_lt(SHIFTED_ZERO_BP))
+        .set("devices_ge_40pct_reduction", state.tally.ge_40pct)
+        .set("devices_regressed", state.tally.regressed)
         .set("regression_attribution", attribution)
         .set("quarantined", quarantined)
 }
 
 #[cfg(test)]
 mod tests {
+    use pim_energy::EnergyParams;
+
     use super::*;
+    use crate::profile::energy_reduction_shifted_bp;
 
     fn temp_path(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -526,16 +554,51 @@ mod tests {
         // Shard size changes the shard count in the population header but
         // must not change any aggregate: compare the distribution fields.
         for o in [&serial, &wide] {
-            assert_eq!(o.state.devices_done, 2_000);
+            assert_eq!(o.state.tally.devices(), 2_000);
             assert_eq!(
                 fleet_report(&o.state).get("energy_reduction_bp").unwrap().render(),
                 fleet_report(&base.state).get("energy_reduction_bp").unwrap().render()
             );
-            assert_eq!(o.state.regressed, base.state.regressed);
+            assert_eq!(o.state.tally.regressed, base.state.tally.regressed);
         }
         // Same config twice → byte-identical full report.
         let again = run_fleet(&quick_cfg(2_000), &Tracer::disabled()).unwrap();
         assert_eq!(a, fleet_report(&again.state).render());
+    }
+
+    #[test]
+    fn threshold_counts_equal_a_brute_force_count() {
+        let devices = 3_000;
+        let params = EnergyParams::default();
+        let (mut ge_40pct, mut regressed) = (0, 0);
+        for d in 0..devices {
+            let shifted = energy_reduction_shifted_bp(&sample_profile(7, d), &params);
+            ge_40pct += u64::from(shifted >= SHIFTED_40PCT_BP);
+            regressed += u64::from(shifted < SHIFTED_ZERO_BP);
+        }
+        assert!(ge_40pct > 0 && regressed > 0, "{ge_40pct} ≥40%, {regressed} regressed");
+        let count = |out: &FleetOutcome, k: &str| {
+            fleet_report(&out.state).get(k).and_then(JsonValue::as_u64).unwrap()
+        };
+        let ckpt = temp_path("brute-force");
+        for workers in [1, 2] {
+            for shard_size in [100, 370] {
+                let cfg = FleetConfig { devices, shard_size, workers, ..FleetConfig::default() };
+                let whole = run_fleet(&cfg, &Tracer::disabled()).unwrap();
+                let _ = std::fs::remove_file(&ckpt);
+                let cfg = FleetConfig { checkpoint: Some(ckpt.clone()), ..cfg };
+                let stop = FleetConfig { stop_after_shards: Some(5), ..cfg.clone() };
+                assert!(run_fleet(&stop, &Tracer::disabled()).unwrap().stopped_early);
+                let resumed = run_fleet(&cfg, &Tracer::disabled()).unwrap();
+                assert!(resumed.resumed_shards > 0);
+                for out in [&whole, &resumed] {
+                    let at = format!("{workers} workers, shards of {shard_size}");
+                    assert_eq!(count(out, "devices_ge_40pct_reduction"), ge_40pct, "{at}");
+                    assert_eq!(count(out, "devices_regressed"), regressed, "{at}");
+                }
+            }
+        }
+        let _ = std::fs::remove_file(&ckpt);
     }
 
     #[test]
@@ -554,11 +617,11 @@ mod tests {
         )
         .unwrap();
         assert!(killed.stopped_early);
-        assert!(killed.state.devices_done < 3_000);
+        assert!(killed.state.tally.devices() < 3_000);
 
         let resumed = run_fleet(&cfg, &Tracer::disabled()).unwrap();
         assert!(resumed.resumed_shards > 0, "must restore shards from the checkpoint");
-        assert_eq!(resumed.state.devices_done, 3_000);
+        assert_eq!(resumed.state.tally.devices(), 3_000);
         assert_eq!(
             fleet_report(&resumed.state).render(),
             fleet_report(&uninterrupted.state).render(),
@@ -580,7 +643,7 @@ mod tests {
             assert_eq!(q.error_label, "watchdog-timeout");
         }
         // Healthy shards still aggregated.
-        assert_eq!(out.state.devices_done, 800);
+        assert_eq!(out.state.tally.devices(), 800);
         let rep = fleet_report(&out.state).render();
         assert!(rep.contains("\"quarantined_shards\":2"), "{rep}");
         assert!(rep.contains("--fleet-offset"), "replay hint present: {rep}");
@@ -606,11 +669,11 @@ mod tests {
             &Tracer::disabled(),
         )
         .unwrap();
-        assert_eq!(replay.state.devices_done, q.devices);
+        assert_eq!(replay.state.tally.devices(), q.devices);
         // The replayed range must equal a direct evaluation of the same
         // absolute device indices.
         let direct = evaluate_shard(7, q.start, q.devices, replay.state.sketch_cfg);
-        assert_eq!(replay.state.regressed, direct.regressed);
+        assert_eq!(replay.state.tally.regressed, direct.regressed);
     }
 
     #[test]
@@ -625,7 +688,7 @@ mod tests {
         let rep = fleet_report(&tight.state).render();
         assert!(rep.contains(&format!("\"degraded_steps\":{}", tight.state.degraded_steps)));
         // Degraded geometry still aggregates every device.
-        assert_eq!(tight.state.devices_done, 300);
+        assert_eq!(tight.state.tally.devices(), 300);
     }
 
     #[test]
@@ -635,9 +698,39 @@ mod tests {
         let cfg = FleetConfig { checkpoint: Some(ckpt.clone()), ..quick_cfg(500) };
         let out = run_fleet(&cfg, &Tracer::disabled()).unwrap();
         assert!(out.recovered_from_corrupt_checkpoint);
-        assert_eq!(out.state.devices_done, 500);
+        assert_eq!(out.state.tally.devices(), 500);
         let clean = run_fleet(&FleetConfig { checkpoint: None, ..cfg }, &Tracer::disabled()).unwrap();
         assert_eq!(fleet_report(&out.state).render(), fleet_report(&clean.state).render());
+        let _ = std::fs::remove_file(&ckpt);
+    }
+
+    #[test]
+    fn version_1_checkpoint_is_recomputed() {
+        // Written by the version-1 sweep (reduction histogram, device
+        // counter) for this key, stopped after 5 of 6 shards: the first
+        // 4-shard batch is on disk.
+        const V1: &str = concat!(
+            r#"{"fleet":"pim-fleet","version":1,"seed":7,"devices":30,"offset":0,"#,
+            r#""shard_size":5,"sketch":{"sub_bits":6,"cm_width":1024,"cm_depth":4},"#,
+            r#""degraded_steps":0,"devices_done":20,"regressed":0,"completed":"0f","#,
+            r#""quarantined":[],"reduction_q":{"m":6,"count":20,"sum":283349,"buckets":"#,
+            r#"[537,1,549,1,550,1,551,1,555,2,556,1,558,2,560,2,561,2,563,1,564,2,565,2,"#,
+            r#"566,2]},"reduction_hist":{"step":250,"len":81,"count":20,"buckets":[45,1,"#,
+            r#"52,2,53,1,55,3,56,2,57,3,58,1,59,4,60,3]},"attribution":{"width":1024,"#,
+            r#""depth":4,"slots":[]}}"#,
+        );
+        let ckpt = temp_path("v1");
+        std::fs::write(&ckpt, V1).unwrap();
+        let cfg = FleetConfig { devices: 30, shard_size: 5, workers: 1, ..FleetConfig::default() };
+        let resumed = run_fleet(
+            &FleetConfig { checkpoint: Some(ckpt.clone()), ..cfg.clone() },
+            &Tracer::disabled(),
+        )
+        .unwrap();
+        assert!(resumed.recovered_from_corrupt_checkpoint);
+        assert_eq!(resumed.resumed_shards, 0);
+        let clean = run_fleet(&cfg, &Tracer::disabled()).unwrap();
+        assert_eq!(fleet_report(&resumed.state).render(), fleet_report(&clean.state).render());
         let _ = std::fs::remove_file(&ckpt);
     }
 

@@ -74,7 +74,7 @@ fn run_family(tag: &str, family: fn(u64) -> ChaosConfig) {
         if resumed.resumed_shards > 0 {
             resumed_at_least_once = true;
         }
-        assert_eq!(resumed.state.devices_done, 2_000, "{tag} seed {seed}");
+        assert_eq!(resumed.state.tally.devices(), 2_000, "{tag} seed {seed}");
         assert_eq!(
             fleet_report(&resumed.state).render(),
             reference,

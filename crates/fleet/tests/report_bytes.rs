@@ -29,7 +29,7 @@ fn fleet_report_bytes_are_pinned() {
         for workers in [1, 2] {
             let cfg = FleetConfig { seed, devices: DEVICES, workers, ..FleetConfig::default() };
             let out = run_fleet(&cfg, &Tracer::disabled()).unwrap();
-            assert_eq!(out.state.devices_done, DEVICES, "seed {seed} on {workers} workers");
+            assert_eq!(out.state.tally.devices(), DEVICES, "seed {seed} on {workers} workers");
             let digest = fnv1a(fleet_report(&out.state).render().as_bytes());
             got.push((seed, workers, digest));
         }

@@ -43,7 +43,7 @@
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 use pim_chaos::{ChaosConfig, ChaosFile, ChaosPlan};
@@ -179,7 +179,10 @@ impl RecordWriter {
     }
 
     /// Reopen the journal at `path` for appending, with an optional chaos
-    /// fault plan as for [`RecordWriter::create`].
+    /// fault plan as for [`RecordWriter::create`]. A journal whose last
+    /// byte is not a newline ends in a record cut before its `\n`, which
+    /// may still be whole JSON: the writer then starts dirty, so the next
+    /// record goes on a line of its own.
     pub fn append(
         path: &Path,
         fsync: FsyncPolicy,
@@ -192,7 +195,10 @@ impl RecordWriter {
             None => OpenOptions::new().append(true).open(path).map(|f| Box::new(f) as _),
         };
         let sink = sink.map_err(|e| HarnessError::io(path, &e))?;
-        Ok(Self { path: path.to_path_buf(), sink, fsync, dirty: false })
+        // A tail that cannot be read counts as cut: a spare guard newline
+        // is a blank line, which replay skips.
+        let dirty = ends_mid_line(path).unwrap_or(true);
+        Ok(Self { path: path.to_path_buf(), sink, fsync, dirty })
     }
 
     /// Start a journal over an arbitrary sink; `path` only labels errors.
@@ -347,6 +353,19 @@ pub fn replay(path: &Path, magic: &str, version: u64) -> Result<Replay, HarnessE
         }
     }
     Ok(replay)
+}
+
+/// True when the file at `path` is not empty and its last byte is not a
+/// newline.
+fn ends_mid_line(path: &Path) -> io::Result<bool> {
+    let mut file = File::open(path)?;
+    if file.seek(SeekFrom::End(0))? == 0 {
+        return Ok(false);
+    }
+    file.seek(SeekFrom::End(-1))?;
+    let mut last = [0u8];
+    file.read_exact(&mut last)?;
+    Ok(last != *b"\n")
 }
 
 /// Compact a journal: replace the file at `path` with `header` and

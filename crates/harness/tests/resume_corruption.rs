@@ -197,6 +197,34 @@ fn resume_from_a_journal_that_is_all_damage_reruns_everything() {
 }
 
 #[test]
+fn record_without_its_newline_is_not_spliced_by_the_next_append() {
+    // A kill between a record and its `\n` leaves a complete last record
+    // with no newline. It restores, nothing needs compacting, and the
+    // resume's first appended record must still start a line of its own.
+    let path = temp_path("no-newline.jsonl");
+    let mut text = "{\"journal\":\"pim-harness\",\"version\":1,\"jobs\":6}\n".to_string();
+    text.push_str(&record("j0", 1));
+    std::fs::write(&path, &text).unwrap();
+
+    let runs = counters();
+    let report =
+        Harness::new(HarnessPolicy::default()).resume_from(&path).run(jobs(&runs)).unwrap();
+    assert_eq!(report.resumed, 1);
+    assert_eq!(report.journal_skipped, 0);
+    assert_eq!(runs["j0"].load(Ordering::SeqCst), 0, "restored job must not re-run");
+
+    let runs2 = counters();
+    let report2 =
+        Harness::new(HarnessPolicy::default()).resume_from(&path).run(jobs(&runs2)).unwrap();
+    assert_eq!(report2.resumed, IDS.len(), "every appended record must restore");
+    assert_eq!(report2.journal_skipped, 0);
+    for id in IDS {
+        assert_eq!(runs2[id].load(Ordering::SeqCst), 0, "{id} re-ran");
+    }
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
 fn foreign_and_future_headers_are_a_typed_mismatch() {
     // A server journal and a harness journal of another version must be
     // refused whole, not read as a journal whose every line is damage.
