@@ -108,7 +108,8 @@ struct Cli {
     drain: bool,
     quota: usize,
     queue_depth: usize,
-    fsync: FsyncPolicy,
+    /// `--fsync`; unset, each mode takes its own policy's default.
+    fsync: Option<FsyncPolicy>,
 }
 
 fn parse(args: &[String]) -> Result<Cli, String> {
@@ -138,7 +139,7 @@ fn parse(args: &[String]) -> Result<Cli, String> {
         drain: false,
         quota: 64,
         queue_depth: 1024,
-        fsync: FsyncPolicy::default(),
+        fsync: None,
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -247,13 +248,17 @@ fn parse(args: &[String]) -> Result<Cli, String> {
             }
             "--fsync" => {
                 let v = it.next().ok_or("--fsync needs off|data|full")?;
-                cli.fsync = FsyncPolicy::parse(v)
-                    .ok_or(format!("--fsync needs off|data|full, got {v}"))?;
+                cli.fsync = Some(
+                    FsyncPolicy::parse(v)
+                        .ok_or(format!("--fsync needs off|data|full, got {v}"))?,
+                );
             }
             other => {
                 if let Some(v) = other.strip_prefix("--fsync=") {
-                    cli.fsync = FsyncPolicy::parse(v)
-                        .ok_or(format!("--fsync needs off|data|full, got {v}"))?;
+                    cli.fsync = Some(
+                        FsyncPolicy::parse(v)
+                            .ok_or(format!("--fsync needs off|data|full, got {v}"))?,
+                    );
                 } else {
                     return Err(format!("unknown argument {other}"));
                 }
@@ -275,8 +280,26 @@ fn parse(args: &[String]) -> Result<Cli, String> {
 }
 
 impl Cli {
+    /// The sweep's harness policy: `--jobs` and `--fsync` over the
+    /// harness defaults.
     fn policy(&self) -> HarnessPolicy {
-        HarnessPolicy { workers: self.jobs, fsync: self.fsync, ..HarnessPolicy::default() }
+        self.policy_over(HarnessPolicy::default())
+    }
+
+    /// The server's policy: `--jobs`, `--fsync`, `--quota` and
+    /// `--queue-depth` over the service defaults, whose journal syncs.
+    fn serve_policy(&self) -> pim_serve::ServePolicy {
+        pim_serve::ServePolicy {
+            harness: self.policy_over(pim_serve::ServePolicy::default().harness),
+            quota: pim_serve::QuotaPolicy {
+                max_in_flight_per_client: self.quota,
+                max_queue_depth: self.queue_depth,
+            },
+        }
+    }
+
+    fn policy_over(&self, defaults: HarnessPolicy) -> HarnessPolicy {
+        HarnessPolicy { workers: self.jobs, fsync: self.fsync.unwrap_or(defaults.fsync), ..defaults }
     }
 
     /// The journal path (if any) and whether to resume from it.
@@ -326,14 +349,7 @@ fn main() -> ExitCode {
     }
 
     if let Some(addr) = &cli.serve {
-        let policy = pim_serve::ServePolicy {
-            harness: cli.policy(),
-            quota: pim_serve::QuotaPolicy {
-                max_in_flight_per_client: cli.quota,
-                max_queue_depth: cli.queue_depth,
-            },
-        };
-        return match pim_bench::serve_cli::run_server(addr, policy, cli.journal().0) {
+        return match pim_bench::serve_cli::run_server(addr, cli.serve_policy(), cli.journal().0) {
             Ok(()) => ExitCode::SUCCESS,
             Err(e) => {
                 eprintln!("pim-serve: {e}");
@@ -572,5 +588,31 @@ fn selftest(cli: &Cli) -> ExitCode {
             eprintln!("harness selftest: {m}");
         }
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn cli(args: &[&str]) -> Cli {
+        parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>()).unwrap()
+    }
+
+    #[test]
+    fn an_unset_fsync_takes_each_modes_own_default() {
+        let serve = cli(&["--serve", "127.0.0.1:0", "--jobs", "3", "--quota", "5"]);
+        let policy = serve.serve_policy();
+        assert_eq!(policy.harness.fsync, pim_serve::ServePolicy::default().harness.fsync);
+        assert_eq!(policy.harness.fsync, FsyncPolicy::Data, "the write-ahead log syncs");
+        assert_eq!((policy.harness.workers, policy.quota.max_in_flight_per_client), (3, 5));
+        assert_eq!(cli(&["--json", "--journal", "j.jsonl"]).policy().fsync, FsyncPolicy::Off);
+        for (args, want) in [
+            (&["--serve", "127.0.0.1:0", "--fsync", "off"][..], FsyncPolicy::Off),
+            (&["--serve", "127.0.0.1:0", "--fsync=full"][..], FsyncPolicy::Full),
+        ] {
+            assert_eq!(cli(args).serve_policy().harness.fsync, want, "{args:?}");
+        }
+        assert_eq!(cli(&["--json", "--fsync", "data"]).policy().fsync, FsyncPolicy::Data);
     }
 }

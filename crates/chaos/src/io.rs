@@ -109,11 +109,11 @@ impl<W: Write> Write for ChaosWriter<W> {
     }
 }
 
-/// A fault-injecting append-only file, for journal-style sinks. Exposes the
-/// `sync_data`/`sync_all` surface of [`File`] so durability policies work
-/// through the wrapper (syncs are forwarded un-faulted: the chaos layer
-/// models lost *writes*, and a sync that "succeeds" after a torn write is
-/// precisely the dangerous schedule worth testing).
+/// A fault-injecting append-only file, for journal-style sinks. Its
+/// [`ChaosFile::sync_handle`] lets durability policies sync through the
+/// wrapper (un-faulted: the chaos layer models lost *writes*, and a sync
+/// that "succeeds" after a torn write is precisely the dangerous schedule
+/// worth testing).
 #[derive(Debug)]
 pub struct ChaosFile {
     inner: ChaosWriter<File>,
@@ -135,12 +135,11 @@ impl ChaosFile {
         })
     }
 
-    pub fn sync_data(&mut self) -> io::Result<()> {
-        self.inner.get_mut().sync_data()
-    }
-
-    pub fn sync_all(&mut self) -> io::Result<()> {
-        self.inner.get_mut().sync_all()
+    /// A second handle on the wrapped file: its `sync_data`/`sync_all`
+    /// sync the bytes written through this wrapper, and can run while it
+    /// writes on.
+    pub fn sync_handle(&self) -> io::Result<File> {
+        self.inner.inner.try_clone()
     }
 }
 
@@ -290,7 +289,7 @@ mod tests {
         }
         assert!(full, "disk never filled");
         assert!(wrote >= 32, "onset before budget consumed");
-        f.sync_all().unwrap(); // syncs still work on a full disk
+        f.sync_handle().unwrap().sync_all().unwrap(); // syncs still work on a full disk
         std::fs::remove_dir_all(&dir).ok();
     }
 

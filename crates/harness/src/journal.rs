@@ -24,9 +24,10 @@
 //! them with its submission records (`pim_serve::recovery`). Three items
 //! serve both formats:
 //!
-//! * [`RecordWriter`] appends one flushed (optionally synced) line per
-//!   record, so a killed process leaves at worst one torn trailing line,
-//!   and a failed write can never splice into the next record;
+//! * [`RecordWriter`] appends one flushed line per record, so a killed
+//!   process leaves at worst one torn trailing line, and a failed write
+//!   can never splice into the next record; its `commit` makes lines
+//!   durable, one sync for all the lines written while the last ran;
 //! * [`replay`] reads a journal back. It checks the header, then reads
 //!   the body corruption-tolerantly: lines that are not JSON anywhere in
 //!   it (truncated tails, interleaved partial writes, embedded garbage)
@@ -45,6 +46,7 @@ use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
+use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use pim_chaos::{ChaosConfig, ChaosFile, ChaosPlan};
 use pim_trace::JsonValue;
@@ -64,17 +66,20 @@ const MAX_TRANSIENT_RETRIES: u32 = 64;
 
 /// When to force journal bytes to stable storage.
 ///
-/// `Off` trusts the OS page cache (fast; survives process death but not
-/// power loss), `Data` calls `fdatasync` after every record, `Full` calls
-/// `fsync` (data + metadata). Selected on the CLI via `--fsync=off|data|full`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// `Off` trusts the OS page cache: fast, and a record survives the death
+/// of the process but not a power loss. Under `Data` (`fdatasync`) and
+/// `Full` (`fsync`, data and metadata) [`RecordWriter::commit`] reports a
+/// record durable only once a sync that began after the record was
+/// written has succeeded. One sync covers every record written before it
+/// began, and a failed sync fails every record it covered, for good.
+/// Selected on the CLI via `--fsync=off|data|full`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
     /// No explicit sync; flush to the OS only.
-    #[default]
     Off,
-    /// `File::sync_data` after each record.
+    /// `File::sync_data` before a record is reported durable.
     Data,
-    /// `File::sync_all` after each record.
+    /// `File::sync_all` before a record is reported durable.
     Full,
 }
 
@@ -100,37 +105,60 @@ impl FsyncPolicy {
 }
 
 /// Where journal bytes go: a real file, a chaos-wrapped file, or an
-/// in-memory buffer in tests. The sync hooks let [`FsyncPolicy`] work
-/// through any sink; non-file sinks treat them as no-ops.
+/// in-memory buffer in tests.
 pub trait JournalSink: Write + Send {
+    /// A handle that forces the bytes written to this sink so far to
+    /// stable storage. It works while the sink writes on, so one record
+    /// can sync while the next is written. The default, for sinks with
+    /// nothing to sync, does nothing.
+    fn syncer(&self) -> io::Result<Box<dyn JournalSync>> {
+        Ok(Box::new(NoSync))
+    }
+}
+
+/// Forces a sink's written bytes to stable storage (see
+/// [`JournalSink::syncer`]).
+pub trait JournalSync: Send + Sync {
     /// Flush file *data* to stable storage (`fdatasync`).
-    fn sync_data(&mut self) -> io::Result<()> {
+    fn sync_data(&self) -> io::Result<()>;
+
+    /// Flush data and metadata to stable storage (`fsync`).
+    fn sync_all(&self) -> io::Result<()>;
+}
+
+impl JournalSync for File {
+    fn sync_data(&self) -> io::Result<()> {
+        File::sync_data(self)
+    }
+
+    fn sync_all(&self) -> io::Result<()> {
+        File::sync_all(self)
+    }
+}
+
+struct NoSync;
+
+impl JournalSync for NoSync {
+    fn sync_data(&self) -> io::Result<()> {
         Ok(())
     }
 
-    /// Flush data and metadata to stable storage (`fsync`).
-    fn sync_all(&mut self) -> io::Result<()> {
+    fn sync_all(&self) -> io::Result<()> {
         Ok(())
     }
 }
 
 impl JournalSink for File {
-    fn sync_data(&mut self) -> io::Result<()> {
-        File::sync_data(self)
-    }
-
-    fn sync_all(&mut self) -> io::Result<()> {
-        File::sync_all(self)
+    /// A second handle on the same open file.
+    fn syncer(&self) -> io::Result<Box<dyn JournalSync>> {
+        Ok(Box::new(self.try_clone()?))
     }
 }
 
 impl JournalSink for ChaosFile {
-    fn sync_data(&mut self) -> io::Result<()> {
-        ChaosFile::sync_data(self)
-    }
-
-    fn sync_all(&mut self) -> io::Result<()> {
-        ChaosFile::sync_all(self)
+    /// The wrapped file, synced un-faulted.
+    fn syncer(&self) -> io::Result<Box<dyn JournalSync>> {
+        Ok(Box::new(self.sync_handle()?))
     }
 }
 
@@ -139,7 +167,21 @@ impl JournalSink for Vec<u8> {}
 /// Line-oriented durable record writer, the one writer of both the
 /// harness journal and the `pim-serve` write-ahead journal.
 ///
-/// Guarantees, even over a faulty sink:
+/// Writing a record and making it durable are two calls, so a service
+/// can write under its own lock and wait for the disk outside it:
+///
+/// * [`RecordWriter::append`] writes and flushes one line and returns
+///   its sequence number (lines count from 1, the header first);
+/// * [`RecordWriter::commit`] returns once a sync that began after that
+///   line was written has succeeded, at once under [`FsyncPolicy::Off`].
+///   Concurrent callers share one sync (group commit): a caller that
+///   finds no sync running runs one for every line written so far, and
+///   the others wait for it. A failed sync fails every line it covered,
+///   and no later sync vouches for them: after a failed `fsync` the
+///   kernel may have dropped their pages.
+///
+/// [`RecordWriter::write_record`] is the two in one. Guarantees, even
+/// over a faulty sink:
 ///
 /// * transient stalls (`Interrupted`, `WouldBlock`, `Ok(0)` short writes)
 ///   are retried in place up to `MAX_TRANSIENT_RETRIES` (64) — a record
@@ -147,22 +189,68 @@ impl JournalSink for Vec<u8> {}
 /// * after a failed record (torn write, disk full, …) the writer is
 ///   *dirty*: the next successful write emits a leading guard newline so
 ///   the stranded fragment sits alone on a line the corruption-tolerant
-///   reader skips — a torn record can never splice into a later one;
-/// * per-record durability follows the [`FsyncPolicy`].
+///   reader skips — a torn record can never splice into a later one.
 ///
 /// Errors carry the journal path as an [`HarnessError::Io`].
 pub struct RecordWriter {
     path: PathBuf,
-    sink: Box<dyn JournalSink>,
     fsync: FsyncPolicy,
+    /// The write side, held from a line's write to its sequence number.
+    tail: Mutex<Tail>,
+    /// Syncs what `tail` wrote, without holding it.
+    syncer: Box<dyn JournalSync>,
+    commits: Mutex<Commits>,
+    /// Signalled when a sync ends.
+    synced: Condvar,
+}
+
+/// The sink, and whether its last write failed.
+struct Tail {
+    sink: Box<dyn JournalSink>,
     dirty: bool,
+}
+
+/// Group-commit state, in line sequence numbers.
+#[derive(Default)]
+struct Commits {
+    /// Lines written and flushed so far.
+    written: u64,
+    /// Lines up to here have met a finished sync: durable unless `failed`.
+    covered: u64,
+    /// The lines `(after, upto]` failed syncs covered, one entry per run
+    /// of consecutive failed syncs.
+    failed: Vec<(u64, u64)>,
+    /// A caller is running a sync.
+    syncing: bool,
+}
+
+impl Commits {
+    /// Lose the lines after `covered` up to `upto` to a failed sync.
+    fn fail(&mut self, upto: u64) {
+        match self.failed.last_mut() {
+            Some(run) if run.1 == self.covered => run.1 = upto,
+            _ => self.failed.push((self.covered, upto)),
+        }
+    }
+
+    fn lost(&self, seq: u64) -> bool {
+        self.failed.iter().rev().any(|&(after, upto)| after < seq && seq <= upto)
+    }
+}
+
+/// The commit state's lock. No update to it can panic half-done, so a
+/// poisoned lock still guards valid state.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl RecordWriter {
     /// Start a fresh journal at `path` (truncating any file there) with
-    /// `header` as its first line. `chaos` wraps the file in a seeded
-    /// fault plan (testing only): its writes then suffer the plan's torn
-    /// writes, transient stalls and disk-full onsets.
+    /// `header` as its first line. Unless the policy is `Off`, the
+    /// directory is synced too, so the new file keeps its name across a
+    /// power loss. `chaos` wraps the file in a seeded fault plan (testing
+    /// only): its writes then suffer the plan's torn writes, transient
+    /// stalls and disk-full onsets.
     pub fn create(
         path: &Path,
         header: &JsonValue,
@@ -175,7 +263,11 @@ impl RecordWriter {
             }
             None => File::create(path).map(|f| Box::new(f) as _),
         };
-        Self::start(path, sink.map_err(|e| HarnessError::io(path, &e))?, header, fsync)
+        let w = Self::start(path, sink.map_err(|e| HarnessError::io(path, &e))?, header, fsync)?;
+        if fsync != FsyncPolicy::Off {
+            sync_dir(path);
+        }
+        Ok(w)
     }
 
     /// Reopen the journal at `path` for appending, with an optional chaos
@@ -183,7 +275,7 @@ impl RecordWriter {
     /// byte is not a newline ends in a record cut before its `\n`, which
     /// may still be whole JSON: the writer then starts dirty, so the next
     /// record goes on a line of its own.
-    pub fn append(
+    pub fn open(
         path: &Path,
         fsync: FsyncPolicy,
         chaos: Option<(ChaosConfig, u64)>,
@@ -198,36 +290,126 @@ impl RecordWriter {
         // A tail that cannot be read counts as cut: a spare guard newline
         // is a blank line, which replay skips.
         let dirty = ends_mid_line(path).unwrap_or(true);
-        Ok(Self { path: path.to_path_buf(), sink, fsync, dirty })
+        Self::over(path, sink, fsync, dirty)
     }
 
     /// Start a journal over an arbitrary sink; `path` only labels errors.
-    /// The header is written through the sink, so a faulting sink fails
-    /// the start the same way a faulting disk would.
+    /// The header is written and committed through the sink, so a
+    /// faulting sink fails the start the same way a faulting disk would.
     pub fn start(
         path: &Path,
         sink: Box<dyn JournalSink>,
         header: &JsonValue,
         fsync: FsyncPolicy,
     ) -> Result<Self, HarnessError> {
-        let mut w = Self { path: path.to_path_buf(), sink, fsync, dirty: false };
+        let mut w = Self::over(path, sink, fsync, false)?;
         w.write_record(header)?;
         Ok(w)
     }
 
-    /// Append one terminal result as its result record.
+    fn over(
+        path: &Path,
+        sink: Box<dyn JournalSink>,
+        fsync: FsyncPolicy,
+        dirty: bool,
+    ) -> Result<Self, HarnessError> {
+        let syncer = sink.syncer().map_err(|e| HarnessError::io(path, &e))?;
+        Ok(Self {
+            path: path.to_path_buf(),
+            fsync,
+            tail: Mutex::new(Tail { sink, dirty }),
+            syncer,
+            commits: Mutex::default(),
+            synced: Condvar::new(),
+        })
+    }
+
+    /// Append one terminal result as its result record and commit it.
     pub fn record(&mut self, r: &JobResult) -> Result<(), HarnessError> {
         self.write_record(&record_json(JsonValue::object(), r))
     }
 
-    /// Append one record as a line. See the type docs for the
-    /// fault-tolerance contract.
+    /// Append one record as a line and commit it:
+    /// [`RecordWriter::append`], then [`RecordWriter::commit`].
     pub fn write_record(&mut self, record: &JsonValue) -> Result<(), HarnessError> {
-        let mut buf = record.render().into_bytes();
-        buf.push(b'\n');
-        self.write_line(&buf).map_err(|e| HarnessError::io(&self.path, &e))
+        let seq = self.append(record)?;
+        self.commit(seq).map(drop)
     }
 
+    /// Write and flush `record` as one line and return its sequence
+    /// number, for [`RecordWriter::commit`]. Sequence numbers follow file
+    /// order. See the type docs for the fault-tolerance contract.
+    pub fn append(&self, record: &JsonValue) -> Result<u64, HarnessError> {
+        let mut line = record.render().into_bytes();
+        line.push(b'\n');
+        // A write that panicked left an unknown fragment: guard it as a
+        // failed one.
+        let mut tail = self.tail.lock().unwrap_or_else(|poisoned| {
+            let mut tail = poisoned.into_inner();
+            tail.dirty = true;
+            tail
+        });
+        tail.write_line(&line).map_err(|e| HarnessError::io(&self.path, &e))?;
+        let mut commits = lock(&self.commits);
+        commits.written += 1;
+        Ok(commits.written)
+    }
+
+    /// Return once line `seq` is durable: once a sync that began after
+    /// the line was written has succeeded. If no sync is running, this
+    /// call runs one for every line written so far; otherwise it waits
+    /// for the running one, and runs the next if that one began too
+    /// early. `Ok(true)` when this call ran the sync that covered the
+    /// line; `Ok(false)` when another caller's did, or the policy is
+    /// `Off`.
+    ///
+    /// # Errors
+    ///
+    /// Fails if the sync that covered the line failed, now or earlier.
+    ///
+    /// # Panics
+    ///
+    /// If no line `seq` was appended yet.
+    pub fn commit(&self, seq: u64) -> Result<bool, HarnessError> {
+        if self.fsync == FsyncPolicy::Off {
+            return Ok(false);
+        }
+        let mut commits = lock(&self.commits);
+        assert!(seq <= commits.written, "journal line {seq} was never appended");
+        let mut ran = None;
+        while commits.covered < seq {
+            if commits.syncing {
+                commits = self.synced.wait(commits).unwrap_or_else(PoisonError::into_inner);
+                continue;
+            }
+            let upto = commits.written;
+            commits.syncing = true;
+            drop(commits);
+            let outcome = match self.fsync {
+                FsyncPolicy::Full => self.syncer.sync_all(),
+                _ => self.syncer.sync_data(),
+            };
+            commits = lock(&self.commits);
+            commits.syncing = false;
+            if outcome.is_err() {
+                commits.fail(upto);
+            }
+            commits.covered = upto;
+            self.synced.notify_all();
+            ran = Some(outcome);
+        }
+        match ran {
+            Some(Err(e)) => Err(HarnessError::io(&self.path, &e)),
+            _ if commits.lost(seq) => Err(HarnessError::io(
+                &self.path,
+                &io::Error::other("the sync that covered this record failed"),
+            )),
+            ran => Ok(ran.is_some()),
+        }
+    }
+}
+
+impl Tail {
     fn write_line(&mut self, line: &[u8]) -> io::Result<()> {
         if self.dirty {
             // Isolate the previous record's stranded fragment on its own
@@ -241,11 +423,7 @@ impl RecordWriter {
             self.dirty = true;
             return Err(e);
         }
-        match self.fsync {
-            FsyncPolicy::Off => Ok(()),
-            FsyncPolicy::Data => self.sink.sync_data(),
-            FsyncPolicy::Full => self.sink.sync_all(),
-        }
+        Ok(())
     }
 
     fn write_fully(&mut self, buf: &[u8]) -> io::Result<()> {
@@ -400,18 +578,25 @@ pub fn replace_atomically(
     let tmp = PathBuf::from(format!("{}.tmp", path.display()));
     let written = create_tmp(&tmp).and_then(|mut sink| {
         sink.write_all(bytes)?;
-        sink.sync_all()
+        sink.syncer()?.sync_all()
     });
     if let Err(e) = written {
         return Err((tmp, e));
     }
     std::fs::rename(&tmp, path).map_err(|e| (path.to_path_buf(), e))?;
-    if let Some(dir) = path.parent() {
-        if let Ok(d) = File::open(dir) {
-            let _ = d.sync_all();
-        }
-    }
+    sync_dir(path);
     Ok(())
+}
+
+/// Sync the directory that holds `path` (the working directory for a
+/// bare file name), so the file's name there survives a power loss
+/// where the platform allows it. Best effort: a directory that cannot
+/// be opened or synced is left as it is.
+fn sync_dir(path: &Path) {
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
+    if let Ok(d) = File::open(dir) {
+        let _ = d.sync_all();
+    }
 }
 
 /// Render one terminal result as its journal line (no trailing newline),
@@ -801,6 +986,177 @@ mod tests {
             matches!(started, Err(HarnessError::Io { .. })),
             "header write through a dead sink must fail the start"
         );
+    }
+
+    /// An in-memory disk whose syncs can be held at a gate or made to
+    /// fail. Each sync logs the byte count written when it began.
+    #[derive(Clone, Default)]
+    struct Disk(std::sync::Arc<DiskState>);
+
+    #[derive(Default)]
+    struct DiskState {
+        bytes: Mutex<Vec<u8>>,
+        log: Mutex<SyncLog>,
+        changed: Condvar,
+    }
+
+    #[derive(Default)]
+    struct SyncLog {
+        /// Bytes written when each sync began, in start order.
+        marks: Vec<usize>,
+        /// Syncs that may still pass the gate; `None` leaves it open.
+        permits: Option<usize>,
+        /// 1-based numbers of the syncs that fail.
+        failing: Vec<usize>,
+    }
+
+    impl Disk {
+        fn gated(permits: usize) -> Self {
+            let disk = Self::default();
+            disk.0.log.lock().unwrap().permits = Some(permits);
+            disk
+        }
+
+        fn failing(syncs: &[usize]) -> Self {
+            let disk = Self::default();
+            disk.0.log.lock().unwrap().failing = syncs.to_vec();
+            disk
+        }
+
+        fn len(&self) -> usize {
+            self.0.bytes.lock().unwrap().len()
+        }
+
+        fn marks(&self) -> Vec<usize> {
+            self.0.log.lock().unwrap().marks.clone()
+        }
+
+        fn release(&self, syncs: usize) {
+            let mut log = self.0.log.lock().unwrap();
+            log.permits = log.permits.map(|p| p + syncs);
+            self.0.changed.notify_all();
+        }
+
+        fn await_started(&self, syncs: usize) {
+            let log = self.0.log.lock().unwrap();
+            let (log, timeout) = self
+                .0
+                .changed
+                .wait_timeout_while(log, std::time::Duration::from_secs(10), |l| {
+                    l.marks.len() < syncs
+                })
+                .unwrap();
+            assert!(!timeout.timed_out(), "{} of {syncs} syncs started", log.marks.len());
+        }
+    }
+
+    impl Write for Disk {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.bytes.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl JournalSink for Disk {
+        fn syncer(&self) -> io::Result<Box<dyn JournalSync>> {
+            Ok(Box::new(self.clone()))
+        }
+    }
+
+    impl JournalSync for Disk {
+        fn sync_data(&self) -> io::Result<()> {
+            let mark = self.len();
+            let mut log = self.0.log.lock().unwrap();
+            log.marks.push(mark);
+            let n = log.marks.len();
+            self.0.changed.notify_all();
+            let mut log = self.0.changed.wait_while(log, |l| l.permits == Some(0)).unwrap();
+            log.permits = log.permits.map(|p| p - 1);
+            if log.failing.contains(&n) {
+                return Err(io::Error::other(format!("sync {n} failed")));
+            }
+            Ok(())
+        }
+        fn sync_all(&self) -> io::Result<()> {
+            self.sync_data()
+        }
+    }
+
+    fn line(i: u64) -> JsonValue {
+        JsonValue::object().set("line", i)
+    }
+
+    #[test]
+    fn lines_appended_during_a_sync_share_the_next_one() {
+        use std::sync::Arc;
+
+        let disk = Disk::gated(1);
+        let label = PathBuf::from("mem:gated");
+        let w = Arc::new(
+            RecordWriter::start(&label, Box::new(disk.clone()), &header("x", 1), FsyncPolicy::Data)
+                .unwrap(),
+        );
+        let commit = |seq: u64| {
+            let w = Arc::clone(&w);
+            std::thread::spawn(move || w.commit(seq).unwrap())
+        };
+        let header_end = disk.len();
+        let first = w.append(&line(1)).unwrap();
+        let first_end = disk.len();
+        let leader = commit(first);
+        disk.await_started(2);
+        // Lines 2-4 land while the sync for line 1 is held at the gate.
+        let later: Vec<u64> = (2..=4).map(|i| w.append(&line(i)).unwrap()).collect();
+        let later_end = disk.len();
+        let followers: Vec<_> = later.into_iter().map(commit).collect();
+        disk.release(1);
+        assert!(leader.join().unwrap(), "the first commit ran its own sync");
+        // The sync for line 1 began before lines 2-4 were written, so it
+        // cannot vouch for them: their commits wait for the next one.
+        disk.await_started(3);
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert!(followers.iter().all(|f| !f.is_finished()), "a commit returned before its sync");
+        disk.release(1);
+        let ran: Vec<bool> = followers.into_iter().map(|f| f.join().unwrap()).collect();
+        assert_eq!(ran.iter().filter(|&&r| r).count(), 1, "one caller ran the shared sync: {ran:?}");
+        assert_eq!(disk.marks(), [header_end, first_end, later_end], "one sync for lines 2-4");
+    }
+
+    #[test]
+    fn a_failed_sync_fails_its_lines_for_good() {
+        for policy in [FsyncPolicy::Data, FsyncPolicy::Full] {
+            // Sync 1 is the header's; syncs 2 and 4 fail.
+            let disk = Disk::failing(&[2, 4]);
+            let label = PathBuf::from("mem:failing");
+            let w = RecordWriter::start(&label, Box::new(disk.clone()), &header("x", 1), policy)
+                .unwrap();
+            let (a, b) = (w.append(&line(1)).unwrap(), w.append(&line(2)).unwrap());
+            assert!(w.commit(b).is_err(), "sync 2 covered lines 1 and 2, and failed");
+            let c = w.append(&line(3)).unwrap();
+            assert!(w.commit(c).unwrap(), "sync 3 succeeds");
+            for lost in [a, b] {
+                assert!(w.commit(lost).is_err(), "sync 3 vouched for line {lost}");
+            }
+            let d = w.append(&line(4)).unwrap();
+            assert!(w.commit(d).is_err(), "sync 4 failed");
+            assert!(!w.commit(c).unwrap(), "line 3 stays durable, and syncs nothing");
+            assert!(w.commit(a).is_err() && w.commit(d).is_err());
+            assert_eq!(disk.marks().len(), 4, "a commit of a covered line runs no sync");
+        }
+    }
+
+    #[test]
+    fn unsynced_journals_commit_without_a_sync() {
+        let disk = Disk::failing(&[1]);
+        let label = PathBuf::from("mem:off");
+        let w = RecordWriter::start(&label, Box::new(disk.clone()), &header("x", 1), FsyncPolicy::Off)
+            .unwrap();
+        let seq = w.append(&line(1)).unwrap();
+        assert_eq!((seq, w.commit(seq).unwrap()), (2, false));
+        assert!(disk.marks().is_empty());
     }
 
     #[test]

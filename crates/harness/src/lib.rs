@@ -46,7 +46,7 @@ pub mod report;
 pub mod supervisor;
 
 pub use job::{Job, JobCtx, JobFailure, JobResult, JobStatus};
-pub use journal::{FsyncPolicy, JournalSink, RecordWriter};
+pub use journal::{FsyncPolicy, JournalSink, JournalSync, RecordWriter};
 pub use pool::Priority;
 pub use report::{FailureSummary, SweepReport};
 pub use supervisor::{Harness, HarnessError, HarnessPolicy};

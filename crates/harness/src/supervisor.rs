@@ -226,7 +226,7 @@ impl Harness {
                         eprintln!("pim-harness: journal compaction skipped: {e}");
                     }
                 }
-                Some(RecordWriter::append(path, self.policy.fsync, self.journal_chaos)?)
+                Some(RecordWriter::open(path, self.policy.fsync, self.journal_chaos)?)
             }
             // Resuming from a journal that does not exist yet degrades to
             // a fresh journaled run, so the first and the resumed

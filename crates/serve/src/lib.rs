@@ -29,10 +29,12 @@
 //! * **Crash recovery** ([`recovery`]) — submissions are journaled
 //!   write-ahead and results as the harness's result records, through
 //!   the harness's one journal writer, replay and compaction
-//!   ([`pim_harness::journal`]); a `SIGKILL`ed server restarts, replays
-//!   its journal tolerating every corruption class the harness reader
-//!   tolerates, restores finished jobs bit-identically, and re-runs only
-//!   the unfinished ones.
+//!   ([`pim_harness::journal`]); a submit is acknowledged, and a result
+//!   served, once its line is durable, with concurrent commits sharing
+//!   one sync outside the scheduler's lock; a `SIGKILL`ed server
+//!   restarts, replays its journal tolerating every corruption class the
+//!   harness reader tolerates, restores finished jobs bit-identically,
+//!   and re-runs only the unfinished ones.
 //! * **Graceful drain** ([`server`], [`signal`]) — SIGTERM/ctrl-c (or
 //!   the protocol `shutdown` op) stops admission, finishes everything in
 //!   flight, and exits with zero journal loss.

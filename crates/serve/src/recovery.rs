@@ -12,10 +12,13 @@
 //! ```
 //!
 //! * a **submission** record is written (and flushed) *before* the job is
-//!   enqueued — write-ahead, so an admitted job can never be lost;
+//!   enqueued — write-ahead, so an admitted job can never be lost — and
+//!   the submit is acknowledged once it is durable
+//!   ([`RecordWriter::commit`], per the [`FsyncPolicy`]);
 //! * a **result** record is written when the job reaches a terminal
 //!   state, in exactly the harness journal format
-//!   ([`RecordWriter::record`]).
+//!   ([`pim_harness::journal::record_json`]), and the result is served
+//!   once it is durable.
 //!
 //! On restart the server replays the journal ([`recover`]): jobs with an
 //! intact result are restored verbatim (bit-identical payloads — results
@@ -150,7 +153,7 @@ pub fn recover(
             eprintln!("pim-serve: journal compaction skipped: {e}");
         }
     }
-    Ok((RecordWriter::append(path, fsync, None)?, state))
+    Ok((RecordWriter::open(path, fsync, None)?, state))
 }
 
 /// Replay a server journal: [`replay`] under the pim-serve header, with

@@ -5,9 +5,11 @@
 //! write-ahead journaled) and run on a [`pim_harness::pool::Pool`] in
 //! their [`Priority`] lane. One supervisor thread owns the pool and steps
 //! it, folding each terminal result into the job table (journaled,
-//! waiters woken) and counting retries. Deadlines, abandoned workers,
-//! retry with backoff and quarantine are the pool's, so the failure
-//! taxonomy is the harness's by construction.
+//! waiters woken) and counting retries. Journal lines are appended under
+//! the state lock, so file order is admission order, and made durable
+//! after it is released: no sync runs under the lock. Deadlines,
+//! abandoned workers, retry with backoff and quarantine are the pool's,
+//! so the failure taxonomy is the harness's by construction.
 //!
 //! Unlike the harness — which runs one fixed sweep to completion — the
 //! scheduler is a *service*: jobs arrive until a drain
@@ -24,12 +26,13 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use pim_faults::DmpimError;
+use pim_harness::journal::record_json;
 use pim_harness::pool::{Event, Pool, Submitter};
 use pim_harness::{
     FsyncPolicy, HarnessError, HarnessPolicy, Job, JobCtx, JobResult, JobStatus, Priority,
     RecordWriter,
 };
-use pim_trace::Tracer;
+use pim_trace::{JsonValue, Tracer};
 
 use crate::protocol::{Reject, RejectKind, Stats};
 use crate::quota::{ClientLedger, QuotaPolicy};
@@ -46,9 +49,12 @@ pub type Resolver = Arc<dyn Fn(&str, &JobCtx) -> Result<String, DmpimError> + Se
 pub struct ServePolicy {
     /// Workers, retries, quarantine, deadlines and journal durability,
     /// as for a harness sweep. The service defaults to 2 workers and
-    /// `FsyncPolicy::Data` (fdatasync per record), because the journal is
-    /// a write-ahead log: an un-synced submission can be admitted,
-    /// acknowledged, and lost.
+    /// `FsyncPolicy::Data`, because the journal is a write-ahead log:
+    /// under `Off` a submission can be acknowledged and then lost to a
+    /// power loss. Under `Data` or `Full` a submission is acknowledged,
+    /// and a result becomes visible, only once its journal line is
+    /// durable; one `fdatasync` covers every line written while the
+    /// previous one ran.
     pub harness: HarnessPolicy,
     /// Admission limits.
     pub quota: QuotaPolicy,
@@ -99,6 +105,8 @@ pub enum WaitOutcome {
 struct Entry {
     client: String,
     spec: String,
+    /// The journal line of its submission, which an attach waits on.
+    line: Option<u64>,
     result: Option<JobResult>,
 }
 
@@ -107,7 +115,6 @@ struct State {
     entries: Vec<Entry>,
     index: HashMap<String, usize>,
     ledger: ClientLedger,
-    journal: Option<RecordWriter>,
     draining: bool,
     /// Supervisor exited (drain complete or hard stop).
     stopped: bool,
@@ -135,6 +142,9 @@ struct Core {
     quota: QuotaPolicy,
     resolver: Resolver,
     tracer: Tracer,
+    /// The write-ahead journal: lines are appended under `state` and
+    /// committed after it is released.
+    journal: Option<RecordWriter>,
     state: Mutex<State>,
     /// Signalled on every terminal result (waiters) and on stop.
     done_cv: Condvar,
@@ -195,11 +205,11 @@ impl Scheduler {
             quota: policy.quota,
             resolver,
             tracer,
+            journal,
             state: Mutex::new(State {
                 entries: Vec::new(),
                 index: HashMap::new(),
                 ledger: ClientLedger::new(),
-                journal,
                 draining: false,
                 stopped: false,
             }),
@@ -227,7 +237,9 @@ impl Scheduler {
 
     /// Submit one job. Admission control and the write-ahead journal
     /// line happen atomically under the state lock, so a crash can never
-    /// admit a job without journaling it. `priority` picks the queue
+    /// admit a job without journaling it. The job is enqueued once its
+    /// line is written, and the call returns once the line is durable
+    /// (per the journal's [`FsyncPolicy`]). `priority` picks the queue
     /// lane; an idempotent re-submission attaches to the existing job and
     /// does not re-litigate its class.
     pub fn submit_priority(
@@ -255,6 +267,10 @@ impl Scheduler {
                 ));
             }
             let state = if e.result.is_some() { "done" } else { "attached" };
+            let line = e.line;
+            drop(st);
+            // The first submit books a failed commit as a dropped record.
+            let _ = core.commit(line);
             return SubmitOutcome::Accepted { state };
         }
         if st.draining || st.stopped || core.stop_now.load(Ordering::SeqCst) {
@@ -273,20 +289,16 @@ impl Scheduler {
             spec: spec.to_string(),
             priority,
         };
-        if let Some(j) = st.journal.as_mut() {
-            if let Err(e) = j.write_record(&sub.to_json()) {
-                // Write-ahead failed (torn write, disk full, …): admit
-                // anyway and degrade. Refusing work because the *journal*
-                // is sick would turn a durability problem into an
-                // availability outage; the cost is that this job will not
-                // recover if the server crashes before finishing it.
-                core.note_journal_drop("submission", &sub.id, e);
-            }
-        }
+        // Write-ahead failed (torn write, disk full, …): admit anyway and
+        // degrade. Refusing work because the *journal* is sick would turn
+        // a durability problem into an availability outage; the cost is
+        // that this job will not recover if the server crashes before
+        // finishing it.
+        let line = core.append("submission", id, &sub.to_json());
         let job = core.job(&sub.id, &sub.spec);
         let slot = st.entries.len();
         st.index.insert(sub.id, slot);
-        st.entries.push(Entry { client: sub.client, spec: sub.spec, result: None });
+        st.entries.push(Entry { client: sub.client, spec: sub.spec, line, result: None });
         core.counters.submitted.fetch_add(1, Ordering::Relaxed);
         core.tracer.count("serve.submitted", 1);
         core.tracer.gauge_add("serve.in_flight", 1.0);
@@ -294,6 +306,9 @@ impl Scheduler {
         core.tracer.gauge("serve.clients", st.ledger.client_count() as f64);
         drop(st);
         core.pool.push(slot, job, priority);
+        if let Err(e) = core.commit(line) {
+            core.note_journal_drop("submission", id, e);
+        }
         SubmitOutcome::Accepted { state: "queued" }
     }
 
@@ -444,7 +459,7 @@ impl Core {
                 self.tracer.gauge_add("serve.queue_depth", 1.0);
                 self.pool.push(slot, self.job(&sub.id, &sub.spec), sub.priority);
             }
-            st.entries.push(Entry { client: sub.client, spec: sub.spec, result });
+            st.entries.push(Entry { client: sub.client, spec: sub.spec, line: None, result });
         }
         self.tracer.gauge("serve.clients", st.ledger.client_count() as f64);
     }
@@ -466,19 +481,26 @@ impl Core {
         })
     }
 
-    /// Record the terminal result of the job in `slot`: journal it,
-    /// release its quota and wake its waiters.
+    /// Record the terminal result of the job in `slot`: journal it, then,
+    /// once its line is durable, release its quota, store it and wake its
+    /// waiters, so nothing a client or a `stats` snapshot sees can be
+    /// undone by a power loss.
     fn finish(&self, slot: usize, result: JobResult) {
+        let line = {
+            let Ok(st) = self.state.lock() else { return };
+            if slot >= st.entries.len() {
+                return;
+            }
+            self.append("result", &result.id, &record_json(JsonValue::object(), &result))
+        };
+        if let Err(err) = self.commit(line) {
+            // The result is still served from memory; only the recovery
+            // record for a *future* crash is degraded.
+            self.note_journal_drop("result", &result.id, err);
+        }
         let Ok(mut guard) = self.state.lock() else { return };
         let st = &mut *guard;
-        let Some(e) = st.entries.get_mut(slot) else { return };
-        if let Some(j) = st.journal.as_mut() {
-            if let Err(err) = j.record(&result) {
-                // The result is still served from memory; only the recovery
-                // record for a *future* crash is degraded.
-                self.note_journal_drop("result", &result.id, err);
-            }
-        }
+        let e = &mut st.entries[slot];
         // Count the job before the lock drops, so no `stats` snapshot and no
         // returned `wait` can see it released from the ledger but not done.
         st.ledger.release(&e.client);
@@ -492,6 +514,24 @@ impl Core {
         self.tracer.count("serve.completed", 1);
         self.tracer.gauge_add("serve.in_flight", -1.0);
         self.done_cv.notify_all();
+    }
+
+    /// Append `record` to the journal; call under the state lock, so file
+    /// order is admission order. Returns the line to commit, or `None`
+    /// without a journal or when the write failed (counted as dropped).
+    fn append(&self, what: &str, id: &str, record: &JsonValue) -> Option<u64> {
+        let j = self.journal.as_ref()?;
+        j.append(record).map_err(|e| self.note_journal_drop(what, id, e)).ok()
+    }
+
+    /// Wait, outside the state lock, until journal `line` is durable,
+    /// booking `serve.journal_syncs` if this call ran the sync.
+    fn commit(&self, line: Option<u64>) -> Result<(), HarnessError> {
+        let (Some(j), Some(line)) = (&self.journal, line) else { return Ok(()) };
+        if j.commit(line)? {
+            self.tracer.count("serve.journal_syncs", 1);
+        }
+        Ok(())
     }
 
     /// Fold one failed journal write into the degradation state: count
@@ -1006,6 +1046,125 @@ mod tests {
         s.drain();
         s.join();
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn acknowledged_submissions_and_visible_results_are_durable_first() {
+        use std::io::{self, Write};
+        use std::sync::atomic::AtomicUsize;
+        use std::sync::{mpsc, OnceLock, Weak};
+
+        use pim_harness::journal::record_line;
+        use pim_harness::{JournalSink, JournalSync};
+
+        /// An in-memory disk. A sync makes durable the bytes written when
+        /// it began, and checks on another thread that the scheduler's
+        /// state lock is free while it runs.
+        #[derive(Clone, Default)]
+        struct Disk {
+            bytes: Arc<Mutex<Vec<u8>>>,
+            durable: Arc<AtomicUsize>,
+            scheduler: Arc<OnceLock<Weak<Scheduler>>>,
+            under_lock: Arc<AtomicUsize>,
+        }
+        impl Write for Disk {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.bytes.lock().unwrap().extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        impl JournalSink for Disk {
+            fn syncer(&self) -> io::Result<Box<dyn JournalSync>> {
+                Ok(Box::new(self.clone()))
+            }
+        }
+        impl JournalSync for Disk {
+            fn sync_data(&self) -> io::Result<()> {
+                let mark = self.bytes.lock().unwrap().len();
+                let probe = self.under_lock.load(Ordering::SeqCst) == 0;
+                if let Some(s) = self.scheduler.get().and_then(Weak::upgrade).filter(|_| probe) {
+                    let (tx, rx) = mpsc::channel();
+                    let stats = std::thread::spawn(move || tx.send(s.stats()));
+                    match rx.recv_timeout(Duration::from_secs(5)) {
+                        Ok(_) => stats.join().unwrap().unwrap(),
+                        // Left to finish once the lock is free.
+                        Err(_) => drop(self.under_lock.fetch_add(1, Ordering::SeqCst)),
+                    }
+                }
+                std::thread::sleep(Duration::from_micros(300));
+                self.durable.fetch_max(mark, Ordering::SeqCst);
+                Ok(())
+            }
+            fn sync_all(&self) -> io::Result<()> {
+                self.sync_data()
+            }
+        }
+
+        let disk = Disk::default();
+        let journal = RecordWriter::start(
+            Path::new("mem:durable"),
+            Box::new(disk.clone()),
+            &recovery::header(),
+            FsyncPolicy::Data,
+        )
+        .unwrap();
+        let tracer = Tracer::metrics_only();
+        let s = Arc::new(
+            Scheduler::start_with_journal(
+                quick_policy(),
+                echo_resolver(),
+                tracer.clone(),
+                Some(journal),
+                RecoveredState::default(),
+            )
+            .unwrap(),
+        );
+        disk.scheduler.set(Arc::downgrade(&s)).ok().unwrap();
+        // True when `line` is in the journal and ends at or below the
+        // durable mark read before the search.
+        let durable = |line: String| {
+            let mark = disk.durable.load(Ordering::SeqCst);
+            let bytes = disk.bytes.lock().unwrap();
+            let line = format!("{line}\n");
+            let end = bytes.windows(line.len()).position(|w| w == line.as_bytes());
+            end.is_some_and(|at| at + line.len() <= mark)
+        };
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let (s, durable) = (&s, &durable);
+                scope.spawn(move || {
+                    let client = format!("c{t}");
+                    for i in 0..25 {
+                        let (id, spec) = (format!("t{t}-j{i}"), format!("s{i}"));
+                        let out = s.submit(&client, &id, &spec);
+                        let sub = Submission {
+                            id: id.clone(),
+                            client: client.clone(),
+                            spec,
+                            priority: Priority::Normal,
+                        };
+                        assert!(durable(sub.to_json().render()), "{id} acknowledged before durable");
+                        assert_eq!(out, SubmitOutcome::Accepted { state: "queued" });
+                        match s.wait(&id, Some(Duration::from_secs(10))) {
+                            WaitOutcome::Done(r) => {
+                                assert!(durable(record_line(&r)), "{id} visible before durable");
+                            }
+                            other => panic!("{id}: {other:?}"),
+                        }
+                    }
+                });
+            }
+        });
+        assert_eq!(disk.under_lock.load(Ordering::SeqCst), 0, "a sync ran under the state lock");
+        let syncs = tracer.metrics().counters.get("serve.journal_syncs").copied().unwrap_or(0);
+        assert!((1..=200).contains(&syncs), "{syncs} syncs for 200 records");
+        let st = s.stats();
+        assert_eq!((st.submitted, st.completed, st.journal_dropped), (100, 100, 0));
+        s.drain();
+        s.join();
     }
 
     #[test]

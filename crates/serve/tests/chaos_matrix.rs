@@ -156,10 +156,12 @@ fn disk_full_journal_degrades_gracefully_and_survivors_replay_bit_identically() 
         // Journal budget: header always fits, onset lands somewhere in
         // the record stream (varies with seed).
         let budget = 60 + (seed % 7) * 45;
+        // Synced as the service journals by default, so every seed's
+        // records go through the commit path.
         let journal = RecordWriter::create(
             &path,
             &recovery::header(),
-            FsyncPolicy::Off,
+            FsyncPolicy::Data,
             Some((ChaosConfig::disk_full(budget), seed)),
         )
         .unwrap();
@@ -199,7 +201,7 @@ fn disk_full_journal_degrades_gracefully_and_survivors_replay_bit_identically() 
 
         // Whatever survived on disk replays, and every surviving result
         // is bit-identical to the one served from memory.
-        let (_, state) = recovery::recover(&path, FsyncPolicy::Off).unwrap();
+        let (_, state) = recovery::recover(&path, FsyncPolicy::Data).unwrap();
         for (id, restored) in &state.results {
             let n: usize = id.trim_start_matches('j').parse().unwrap();
             assert_eq!(
